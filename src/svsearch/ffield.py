@@ -11,12 +11,14 @@ into numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CapacityError, DomainError, UsageError
 
 PRIME_LIMIT = 1 << 31  # products of two residues must fit in 64 bits
 IRREDUCIBLE_SCAN_LIMIT = 1 << 40
-OP_TABLE_LIMIT = 512  # extension fields up to this order get full op tables
+LOG_TABLE_LIMIT = 1 << 16  # extension fields up to this order get log/antilog tables
 
 
 def is_prime(n: int) -> bool:
@@ -144,10 +146,18 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 
-# lazily built (add, mul, neg, inv) lookup tables for small extension fields;
-# digit-vector arithmetic is exact but slow, and these fields sit on hot
-# paths (resultants over lifted fields, certificate computations)
-_OP_TABLES: dict["FieldCtx", tuple] = {}
+class LogTables(NamedTuple):
+    """Log/antilog (and, for odd p, Zech) tables of GF(p^k) to one generator g.
+
+    exp[n] = g^(n mod (q-1)) for n < 2(q-1), so a sum of two logs needs no
+    reduction.  log[a] is the discrete log of a != 0; log[0] = -1 marks that
+    zero has none.  For odd p, zech[n] = log(1 + g^n) over n < q-1, with -1
+    where 1 + g^n = 0; for p = 2 addition is XOR and zech is None.
+    """
+
+    exp: list[int]
+    log: list[int]
+    zech: list[int] | None
 
 
 @dataclass(frozen=True)
@@ -218,17 +228,32 @@ class FieldCtx:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _tables(self) -> tuple:
-        tabs = _OP_TABLES.get(self)
-        if tabs is None:
-            q = self.q
-            add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-            mul = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-            neg = [self._sub_raw(0, a) for a in range(q)]
-            inv = [0] + [self._inv_raw(a) for a in range(1, q)]
-            tabs = (add, mul, neg, inv)
-            _OP_TABLES[self] = tabs
-        return tabs
+    @cached_property
+    def log_tables(self) -> LogTables | None:
+        """Tables for extension fields of order <= LOG_TABLE_LIMIT, else None.
+
+        Built once per instance by walking the powers of the smallest
+        primitive element g (g^((q-1)/r) != 1 for every prime r | q-1) with
+        digit arithmetic.  cached_property stores the result in the
+        instance dict, so equality and hashing still see only the dataclass
+        fields.
+        """
+        q = self.q
+        if self.k == 1 or q > LOG_TABLE_LIMIT:
+            return None
+        order = q - 1
+        primes = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+        g = next(
+            g for g in range(2, q) if all(self._pow_raw(g, order // r) != 1 for r in primes)
+        )
+        exp = [1]
+        for _ in range(order - 1):
+            exp.append(self._mul_raw(g, exp[-1]))
+        log = [-1] * q
+        for n, x in enumerate(exp):
+            log[x] = n
+        zech = None if self.p == 2 else [log[self._add_raw(1, x)] for x in exp]
+        return LogTables(exp + exp, log, zech)
 
     def _add_raw(self, a: int, b: int) -> int:
         p = self.p
@@ -270,58 +295,62 @@ class FieldCtx:
         prod += [0] * (self.k - len(prod))
         return self.from_coeffs(prod)
 
-    def _inv_raw(self, a: int) -> int:
-        # extended Euclid in GF(p)[X] against the modulus
-        p = self.p
-        r0, r1 = list(self.modulus), list(self.coeffs(a))
-        _ptrim(r1)
-        s0, s1 = [], [1]
-        while r1:
-            q, rem = _pdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        # r0 = gcd (a constant, since modulus is irreducible)
-        c = pow(r0[0], -1, p)
-        s0 = [x * c % p for x in s0]
-        s0 = _pmod(s0, list(self.modulus), p)
-        s0 += [0] * (self.k - len(s0))
-        return self.from_coeffs(s0)
+    def _pow_raw(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self._mul_raw(a, result)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return result
 
     def add(self, a: int, b: int) -> int:
         self.check(a)
         self.check(b)
         if self.k == 1:
             return (a + b) % self.p
-        if self.q <= OP_TABLE_LIMIT:
-            return self._tables()[0][a][b]
-        return self._add_raw(a, b)
+        if self.p == 2:
+            return a ^ b
+        t = self.log_tables
+        if t is None:
+            return self._add_raw(a, b)
+        if a == 0 or b == 0:
+            return a or b
+        # g^la + g^lb = g^(la + zech[lb - la]); len(zech) = q-1, so a
+        # negative index wraps mod q-1
+        la = t.log[a]
+        z = t.zech[t.log[b] - la]
+        return 0 if z < 0 else t.exp[la + z]
 
     def sub(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
         if self.k == 1:
+            self.check(a)
+            self.check(b)
             return (a - b) % self.p
-        if self.q <= OP_TABLE_LIMIT:
-            tabs = self._tables()
-            return tabs[0][a][tabs[2][b]]
-        return self._sub_raw(a, b)
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         self.check(a)
         if self.k == 1:
             return -a % self.p
-        if self.q <= OP_TABLE_LIMIT:
-            return self._tables()[2][a]
-        return self._sub_raw(0, a)
+        if self.p == 2 or a == 0:
+            return a
+        t = self.log_tables
+        if t is None:
+            return self._sub_raw(0, a)
+        return t.exp[t.log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
     def mul(self, a: int, b: int) -> int:
         self.check(a)
         self.check(b)
         if self.k == 1:
             return a * b % self.p
-        if self.q <= OP_TABLE_LIMIT:
-            return self._tables()[1][a][b]
-        return self._mul_raw(a, b)
+        t = self.log_tables
+        if t is None:
+            return self._mul_raw(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return t.exp[t.log[a] + t.log[b]]
 
     def inv(self, a: int) -> int:
         self.check(a)
@@ -329,9 +358,10 @@ class FieldCtx:
             raise DomainError("zero has no inverse")
         if self.k == 1:
             return pow(a, -1, self.p)
-        if self.q <= OP_TABLE_LIMIT:
-            return self._tables()[3][a]
-        return self._inv_raw(a)
+        t = self.log_tables
+        if t is None:
+            return self._pow_raw(a, self.q - 2)
+        return t.exp[self.q - 1 - t.log[a]]
 
     def pow(self, a: int, e: int) -> int:
         """a^e with 0^0 = 1 (zero exponents must yield the coefficient)."""
@@ -340,53 +370,15 @@ class FieldCtx:
             raise UsageError("negative exponent; use inv")
         if self.k == 1:
             return pow(a, e, self.p)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        t = self.log_tables
+        if t is not None:
+            if a == 0:
+                return 0 if e else 1
+            return t.exp[e * t.log[a] % (self.q - 1)]
+        return self._pow_raw(a, e)
 
     def __str__(self) -> str:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    quot = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - 1 - db
-        quot[shift] = coef
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bi) % p
-        _ptrim(a)
-    return _ptrim(quot), a
 
 
 def prime_field(p: int) -> FieldCtx:

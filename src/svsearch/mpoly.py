@@ -406,7 +406,8 @@ def lagrange_interpolate(xs: list[int], ys: list[int], ctx: FieldCtx) -> UPoly:
         if ys[i] == 0:
             continue
         li, rem = upoly_divmod(full, (ctx.neg(xs[i]), 1), ctx)
-        assert not rem
+        if rem:
+            raise AssertionError(f"X - {xs[i]} does not divide the node polynomial")
         denom = upoly_eval(li, xs[i], ctx)
         acc = upoly_add(acc, upoly_scale(li, ctx.mul(ys[i], ctx.inv(denom)), ctx), ctx)
     return acc
@@ -451,9 +452,7 @@ def sylvester_determinant(f: UPoly, g: UPoly, ctx: FieldCtx) -> int:
     return det
 
 
-_LIFT_CACHE: dict[tuple[FieldCtx, int], tuple] = {}
-
-
+@lru_cache(maxsize=8)
 def lift_with_embedding(ctx: FieldCtx, e: int):
     """GF(q^e) plus the embedding of GF(q) into it.
 
@@ -464,17 +463,10 @@ def lift_with_embedding(ctx: FieldCtx, e: int):
     big field, which exists because the base degree divides the lifted
     degree.
     """
-    cached = _LIFT_CACHE.get((ctx, e))
-    if cached is not None:
-        return cached
     if e == 1:
-        result = (ctx, None, None)
-        _LIFT_CACHE[(ctx, e)] = result
-        return result
+        return (ctx, None, None)
     if ctx.k == 1:
-        result = (extension_field(ctx.p, e), None, None)
-        _LIFT_CACHE[(ctx, e)] = result
-        return result
+        return (extension_field(ctx.p, e), None, None)
     if ctx.q > ROOT_SCAN_LIMIT:
         raise CapacityError("extension base field too large to lift")
     ext = extension_field(ctx.p, ctx.k * e)
@@ -490,9 +482,7 @@ def lift_with_embedding(ctx: FieldCtx, e: int):
             power = ext.mul(power, theta)
         table[a] = v
     unembed = {v: k for k, v in table.items()}
-    result = (ext, table.__getitem__, unembed)
-    _LIFT_CACHE[(ctx, e)] = result
-    return result
+    return (ext, table.__getitem__, unembed)
 
 
 def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:

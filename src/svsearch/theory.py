@@ -65,12 +65,6 @@ def strip_sums(q: int, s: int, m: int) -> StripSums:
     return StripSums(odd - even, tail, odd, even, odd + even)
 
 
-def s_t_values(q: int, s: int, m: int) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-    """(alt_m, tail_m, odd_m, even_m, plus_m) as a plain tuple."""
-    t = strip_sums(q, s, m)
-    return (t.alt, t.tail, t.odd, t.even, t.plus)
-
-
 # ---------------------------------------------------------------------------
 
 

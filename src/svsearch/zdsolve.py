@@ -1,12 +1,12 @@
 """Zero-dimensional solving over a finite field.
 
 Two backends find/count common rational zeros of s polynomials in s
-variables: an exhaustive grid scan (vectorized for prime fields) and,
-for s = 2, an elimination backend that projects through the resultant
-and lifts candidate first coordinates.  On top of these sit the
-sufficient certificate for "the specialized system is as transverse as
-its degrees allow" and exact point-counting oracles over extension
-fields.
+variables: an exhaustive grid scan (vectorized, in the log domain over
+extension fields) and, for s = 2, an elimination backend that projects
+through the resultant and lifts candidate first coordinates.  On top of
+these sit the sufficient certificate for "the specialized system is as
+transverse as its degrees allow" and exact point-counting oracles over
+extension fields.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, UsageError
-from .ffield import FieldCtx
+from .ffield import LOG_TABLE_LIMIT, FieldCtx
 from .mpoly import (
     MPoly,
     UPoly,
@@ -35,7 +35,6 @@ from .mpoly import (
 
 GRID_LIMIT = 1 << 24
 NUMPY_PRIME_LIMIT = 1 << 25
-TABLE_FIELD_LIMIT = 1 << 11  # build full op tables for extension fields up to here
 
 
 @dataclass(frozen=True)
@@ -103,46 +102,60 @@ def _grid_values_numpy(f: MPoly, p: int, s: int, maxdeg: int) -> np.ndarray:
     return vals
 
 
-_OP_TABLE_CACHE: dict[FieldCtx, tuple[np.ndarray, np.ndarray]] = {}
+def _grid_values_log(f: MPoly, ctx: FieldCtx, s: int, maxdeg: int) -> np.ndarray:
+    """Grid values for an extension field, computed in the log domain.
 
+    Terms are grouped by their exponents in the first s-1 variables.  Each
+    group's univariate in the last variable is evaluated along one axis,
+    then the group's log over the grid is the broadcast sum of that line's
+    logs and e*log x on the other axes: one gather from exp per group.
+    Zero has the log `zero`, which lands every sum that contains it in the
+    zero-filled tail of exp.
+    """
+    tabs = ctx.log_tables
+    order = ctx.q - 1
+    span = s + 1  # no sum below adds more than this many logs
+    zero = span * order  # above every sum of logs of nonzero elements
+    exp = np.zeros(span * zero + 1, dtype=np.int32)
+    exp[:zero] = np.tile(tabs.exp[:order], span)
+    log = np.array(tabs.log, dtype=np.int64)
+    log[0] = zero
+    log_pow = np.outer(np.arange(maxdeg + 1), log) % order  # log of x^e
+    log_pow[1:, 0] = zero
+    # add(a, b) returns a + b and may overwrite a
+    if ctx.p == 2:
 
-def _op_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """Full addition/multiplication gather tables for a small field."""
-    cached = _OP_TABLE_CACHE.get(ctx)
-    if cached is not None:
-        return cached
-    q = ctx.q
-    add = np.empty((q, q), dtype=np.int32)
-    mul = np.empty((q, q), dtype=np.int32)
-    for a in range(q):
-        for b in range(a, q):
-            s = ctx.add(a, b)
-            m = ctx.mul(a, b)
-            add[a, b] = add[b, a] = s
-            mul[a, b] = mul[b, a] = m
-    _OP_TABLE_CACHE[ctx] = (add, mul)
-    return add, mul
+        def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return np.bitwise_xor(a, b, out=a)
 
+    else:
+        # zech[n] = log(1 + g^n) for every n in [0, 2*zero], so that
+        # zech[lb - la + zero] needs no reduction mod q - 1
+        zech = np.tile(np.array(tabs.zech, dtype=np.int64), 2 * span + 1)
+        zech[zech < 0] = zero
 
-def _grid_values_tables(f: MPoly, ctx: FieldCtx, s: int, maxdeg: int) -> np.ndarray:
-    """Grid values for a small extension field via gather tables."""
-    add, mul = _op_tables(ctx)
-    q = ctx.q
-    elems = np.arange(q, dtype=np.int32)
-    pow_tab = np.empty((maxdeg + 1, q), dtype=np.int32)
-    pow_tab[0] = 1
-    for e in range(1, maxdeg + 1):
-        pow_tab[e] = mul[pow_tab[e - 1], elems]
-    vals = np.zeros((q,) * s, dtype=np.int32)
+        def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            la, diff = log[a], log[b]
+            diff += zero
+            diff -= la
+            total = exp[la + zech[diff]]
+            return np.where(a == 0, b, np.where(b == 0, a, total))
+
+    lines: dict[tuple[int, ...], np.ndarray] = {}
     for exps, c in f.terms:
-        term = np.array(c, dtype=np.int32)
-        for axis, e in enumerate(exps):
-            if e == 0:
-                continue
-            shape = [1] * s
-            shape[axis] = q
-            term = mul[term, pow_tab[e].reshape(shape)]
-        vals = add[vals, term]
+        head = exps[:-1]
+        line = exp[log[c] + log_pow[exps[-1]]]
+        lines[head] = add(lines[head], line) if head in lines else line
+    vals = None
+    for head, line in lines.items():
+        idx = log[line].reshape((1,) * (s - 1) + (-1,))
+        for axis, e in enumerate(head):
+            if e:
+                shape = [1] * s
+                shape[axis] = -1
+                idx = idx + log_pow[e].reshape(shape)
+        group = exp[np.broadcast_to(idx, (ctx.q,) * s)]
+        vals = group if vals is None else add(vals, group)
     return vals
 
 
@@ -157,10 +170,9 @@ def _grid_mask(query: ZeroDimQuery) -> np.ndarray:
         if f.is_zero():
             continue
         if ctx.k == 1:
-            vals = _grid_values_numpy(f, ctx.p, query.s, maxdeg)
+            m = _grid_values_numpy(f, ctx.p, query.s, maxdeg) == 0
         else:
-            vals = _grid_values_tables(f, ctx, query.s, maxdeg)
-        m = vals == 0
+            m = _grid_values_log(f, ctx, query.s, maxdeg) == 0
         mask = m if mask is None else (mask & m)
         if not mask.any():
             break
@@ -177,7 +189,7 @@ def _exhaustive_capacity(query: ZeroDimQuery) -> None:
 def _vector_path(ctx: FieldCtx) -> bool:
     if ctx.k == 1:
         return ctx.p <= NUMPY_PRIME_LIMIT
-    return ctx.q <= TABLE_FIELD_LIMIT
+    return ctx.q <= LOG_TABLE_LIMIT
 
 
 def _count_exhaustive(query: ZeroDimQuery) -> int:
@@ -225,7 +237,8 @@ def _poly_as_upoly_in_x(f: MPoly) -> UPoly:
     """A bivariate polynomial that is constant in Y, as a UPoly in X."""
     coeffs: dict[int, int] = {}
     for (ex, ey), c in f.terms:
-        assert ey == 0
+        if ey != 0:
+            raise AssertionError(f"term X^{ex} Y^{ey} depends on Y")
         coeffs[ex] = c
     deg = max(coeffs, default=-1)
     return upoly_trim([coeffs.get(i, 0) for i in range(deg + 1)])

@@ -71,6 +71,46 @@ def test_inverse_exhaustive_small_fields(q):
         assert ctx.mul(ctx.inv(a), a) == 1
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 256])  # every extension order <= 256
+def test_table_ops_match_digit_arithmetic(q):
+    ctx = field_for_order(q)
+    assert ctx.log_tables is not None
+    for a in range(q):
+        for b in range(q):
+            assert ctx.add(a, b) == ctx._add_raw(a, b)
+            assert ctx.sub(a, b) == ctx._sub_raw(a, b)
+            assert ctx.mul(a, b) == ctx._mul_raw(a, b)
+        assert ctx.neg(a) == ctx._sub_raw(0, a)
+        if a:
+            assert ctx._mul_raw(ctx.inv(a), a) == 1
+        power = 1
+        for e in range(q + 1):  # past q - 1, where the exponent wraps
+            assert ctx.pow(a, e) == power
+            power = ctx._mul_raw(power, a)
+
+
+def test_log_tables_leave_equality_alone():
+    built = field_for_order(9)
+    built.mul(2, 3)
+    fresh = field_for_order(9)
+    assert "log_tables" in vars(built) and "log_tables" not in vars(fresh)
+    assert built == fresh and hash(built) == hash(fresh)
+    assert prime_field(7).log_tables is None
+
+
+@pytest.mark.parametrize("p,k", [(2, 17), (3, 11)])  # above LOG_TABLE_LIMIT
+def test_digit_arithmetic_above_table_limit(p, k):
+    big = extension_field(p, k)
+    assert big.log_tables is None
+    a, b = 12345, 67890
+    assert big.add(a, b) == big._add_raw(a, b)
+    assert big.sub(a, b) == big._sub_raw(a, b)
+    assert big.neg(b) == big._sub_raw(0, b)
+    assert big.mul(a, b) == big._mul_raw(a, b)
+    assert big.mul(big.inv(a), a) == 1
+    assert big.pow(a, 3) == big._mul_raw(a, big._mul_raw(a, a))
+
+
 def test_inverse_sampled_large_fields():
     rng = RngStream(2024, 0)
     for q in (101, 1009, 65537, 2 ** 13):

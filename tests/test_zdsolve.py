@@ -1,13 +1,21 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import svsearch
 from svsearch.errors import CapacityError, UsageError
 from svsearch.ffield import field_for_order, prime_field
 from svsearch.mpoly import MPoly, monomials
 from svsearch.sampler import RngStream
 from svsearch.zdsolve import (
     ZeroDimQuery,
+    _grid_values_log,
+    _poly_as_upoly_in_x,
     cond_h_certificate,
     count_zeros,
     count_zeros_ext,
@@ -80,6 +88,48 @@ def test_zero_polynomial_imposes_nothing():
     assert count_zeros(both_zero) == 9
     assert count_zeros(both_zero, "resultant") == 9
     assert find_zero(both_zero, "resultant") == (0, 0)
+
+
+@pytest.mark.parametrize("q", [9, 27, 64, 1024, 2187])  # 2187 = 3^7: odd p, 4.8M grid cells
+def test_log_grid_matches_evaluate_and_resultant(q):
+    ctx = field_for_order(q)
+    rng = RngStream(4242, q)
+    for d in (1, 2, 3, 3):
+        query = random_query(ctx, 2, d, rng)
+        for f in query.polys:
+            vals = _grid_values_log(f, ctx, 2, d)
+            cells = [(0, 0), (0, q - 1), (q - 1, 0)]
+            cells += [(rng.next_below(q), rng.next_below(q)) for _ in range(60)]
+            for x, y in cells:
+                assert vals[x, y] == f.evaluate((x, y), ctx), (q, d, x, y)
+        # both return the smallest x, then the smallest y
+        assert find_zero(query, "exhaustive") == find_zero(query, "resultant")
+
+
+def test_soundness_check_survives_optimize_flag():
+    # assert statements vanish under -O; this invariant check must not
+    code = textwrap.dedent(
+        """
+        import sys
+        from svsearch.ffield import prime_field
+        from svsearch.mpoly import MPoly
+        from svsearch.zdsolve import _poly_as_upoly_in_x
+        if not sys.flags.optimize:
+            sys.exit(2)
+        try:
+            _poly_as_upoly_in_x(MPoly.from_terms(2, [((1, 1), 1)], prime_field(5)))
+        except AssertionError:
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = str(Path(svsearch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
+    c5 = prime_field(5)
+    with pytest.raises(AssertionError):
+        _poly_as_upoly_in_x(P(2, [((0, 1), 1)], c5))
 
 
 def test_capacity_errors():
