@@ -15,13 +15,13 @@ import sys
 import tempfile
 
 from .errors import CapacityError, DomainError, UsageError
-from .ffield import field_for_order
+from .ffield import FieldCtx, field_for_order
 from .mpoly import MPoly
 from .mc import exhaustive_p1, exhaustive_sk, records_to_csv, run_experiment
 from .sampler import RngStream, SystemSpec, sample_system
 from .svs import run_svs
 from .theory import theory_report
-from .zdsolve import ZeroDimQuery, distinct_geometric_points
+from .zdsolve import BACKENDS, ZeroDimQuery, distinct_geometric_points
 
 EXIT_OK = 0
 EXIT_FAILURE_OUTCOME = 1
@@ -46,26 +46,34 @@ def system_to_text(system: SystemSpec) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def system_from_text(text: str, allow_square: bool = False) -> SystemSpec:
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _system_fields(text: str) -> tuple[FieldCtx, int, int, int, tuple[MPoly, ...]]:
+    """Parse and check a system file into (ctx, r, s, d, polys)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        q, r, s, d = (int(doc[k]) for k in ("q", "r", "s", "d"))
+        polys_doc = [
+            [(tuple(int(x) for x in term["e"]), int(term["c"])) for term in terms]
+            for terms in doc["polynomials"]
+        ]
+    except KeyError as exc:
+        raise UsageError(f"system file missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed system file: {exc}") from exc
-    for key in ("q", "r", "s", "d", "polynomials"):
-        if key not in doc:
-            raise UsageError(f"system file missing field {key!r}")
-    q, r, s, d = (int(doc[k]) for k in ("q", "r", "s", "d"))
     ctx = field_for_order(q)
-    polys_doc = doc["polynomials"]
     if len(polys_doc) != s:
         raise UsageError(f"expected {s} polynomials, found {len(polys_doc)}")
     polys = []
-    for terms_doc in polys_doc:
-        items = []
+    for terms in polys_doc:
         seen = set()
-        for term in terms_doc:
-            c = int(term["c"])
-            e = tuple(int(x) for x in term["e"])
+        for e, c in terms:
             if len(e) != r:
                 raise UsageError(f"exponent vector {e} does not have {r} entries")
             if sum(e) > d:
@@ -75,26 +83,22 @@ def system_from_text(text: str, allow_square: bool = False) -> SystemSpec:
             if e in seen:
                 raise UsageError(f"duplicate exponent vector {e}")
             seen.add(e)
-            items.append((e, c))
-        polys.append(MPoly.from_terms(r, items, ctx))
-    if allow_square and s == r:
-        # zero-dimensional query in disguise; bypass the 1 < s < r check
-        return _SquareSystem(ctx, r, s, d, tuple(polys))
-    return SystemSpec(ctx, r, s, d, tuple(polys))
+        polys.append(MPoly.from_terms(r, terms, ctx))
+    return ctx, r, s, d, tuple(polys)
 
 
-class _SquareSystem:
-    """Minimal stand-in for a system file with s == r (oracle use only)."""
-
-    def __init__(self, ctx, r, s, d, polys):
-        self.ctx, self.r, self.s, self.d, self.polys = ctx, r, s, d, polys
+def system_from_text(text: str) -> SystemSpec:
+    return SystemSpec(*_system_fields(text))
 
 
 def parse_strips(text: str, m: int, ctx) -> list[tuple[int, ...]]:
     """Parse "c1,c2;c1,c2" into strips of m coordinates each."""
     strips = []
     for part in text.split(";"):
-        coords = tuple(int(x) for x in part.split(",") if x.strip() != "")
+        try:
+            coords = tuple(int(x) for x in part.split(",") if x.strip() != "")
+        except ValueError as exc:
+            raise UsageError(f"strip {part!r} is not a list of integers") from exc
         if len(coords) != m:
             raise UsageError(f"strip {part!r} must have {m} coordinates")
         for x in coords:
@@ -139,8 +143,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    with open(args.system) as handle:
-        system = system_from_text(handle.read())
+    system = system_from_text(_read_text(args.system))
     ctx = system.ctx
     strips = None
     rng = None
@@ -203,15 +206,14 @@ def cmd_oracle(args) -> int:
         sys.stdout.write(json.dumps(doc) + "\n")
         return EXIT_OK
     if args.oracle == "count-points":
-        with open(args.system) as handle:
-            system = system_from_text(handle.read(), allow_square=True)
-        polys = system.polys
-        if system.s != system.r:
+        ctx, r, s, d, polys = _system_fields(_read_text(args.system))
+        if s != r:
+            SystemSpec(ctx, r, s, d, polys)  # checks 1 < s < r
             if args.strip is None:
                 raise UsageError("count-points needs --strip for an underdetermined system")
-            strip = parse_strips(args.strip, system.r - system.s, system.ctx)[0]
-            polys = tuple(f.specialize(strip, system.ctx) for f in polys)
-        query = ZeroDimQuery(system.ctx, polys[0].nvars, polys, system.d)
+            strip = parse_strips(args.strip, r - s, ctx)[0]
+            polys = tuple(f.specialize(strip, ctx) for f in polys)
+        query = ZeroDimQuery(ctx, s, polys, d)
         count = distinct_geometric_points(query)
         sys.stdout.write(json.dumps({"distinct_geometric_points": count}) + "\n")
         return EXIT_OK
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one strip search on a system file")
     solve.add_argument("--system", required=True, help="path to a system file")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--backend", choices=("exhaustive", "resultant"), default="exhaustive")
+    solve.add_argument("--backend", choices=BACKENDS, default="exhaustive")
     solve.add_argument("--strips", default=None,
                        help='explicit strips "c1,c2;c1,c2" (overrides --seed)')
     solve.add_argument("--hstar", type=int, default=None, help="strip budget (default r-s+1)")
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--d", type=int, required=True)
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--seed", type=int, required=True)
-    exp.add_argument("--backend", choices=("exhaustive", "resultant"), default="exhaustive")
+    exp.add_argument("--backend", choices=BACKENDS, default="exhaustive")
     exp.add_argument("--certify", action="store_true", default=False)
     exp.add_argument("--hstar", type=int, default=None)
     exp.add_argument("--workers", type=int, default=1)
@@ -291,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, DomainError, FileNotFoundError) as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

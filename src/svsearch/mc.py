@@ -18,7 +18,7 @@ from multiprocessing import Pool
 
 from .errors import CapacityError, UsageError
 from .ffield import FieldCtx, field_for_order, matrix_rank
-from .mpoly import monomials
+from .mpoly import monomial_row, monomials
 from .sampler import RngStream, Strip, m_matrix, sample_system
 from .svs import run_svs
 from .theory import (
@@ -375,23 +375,12 @@ def _strip_mask_counts(ctx: FieldCtx, r: int, s: int, d: int, strip: Strip) -> d
     set = the polynomial vanishes at grid point i, row-major order).
     """
     q = ctx.q
-    exps = monomials(r, d)
-    grid = []
-    for x in itertools.product(ctx.elements(), repeat=s):
-        grid.append(tuple(strip) + x)
-    # monomial value table per grid point
-    tables = []
-    for pt in grid:
-        row = []
-        for e in exps:
-            v = 1
-            for var, exp in enumerate(e):
-                if exp:
-                    v = ctx.mul(v, ctx.pow(pt[var], exp))
-            row.append(v)
-        tables.append(row)
+    tables = [
+        monomial_row(tuple(strip) + x, d, ctx)
+        for x in itertools.product(ctx.elements(), repeat=s)
+    ]
     counts: dict[int, int] = {}
-    nslots = len(exps)
+    nslots = len(monomials(r, d))
     coeffs = [0] * nslots
     total = q ** nslots
     for idx in range(total):
@@ -462,24 +451,11 @@ def exhaustive_sk(q: int, r: int, s: int, d: int, strips: list[Strip]) -> tuple[
     strips = [tuple(a) for a in strips]
     if len(set(strips)) != len(strips):
         raise UsageError("strips must be distinct")
-    exps = monomials(r, d)
-    grids = []
-    for a in strips:
-        pts = [tuple(a) + x for x in itertools.product(ctx.elements(), repeat=s)]
-        grids.append(pts)
-    tables = []  # per strip: per grid point: monomial values
-    for pts in grids:
-        tab = []
-        for pt in pts:
-            row = []
-            for e in exps:
-                v = 1
-                for var, exp in enumerate(e):
-                    if exp:
-                        v = ctx.mul(v, ctx.pow(pt[var], exp))
-                row.append(v)
-            tab.append(row)
-        tables.append(tab)
+    # per strip: per grid point, row-major: monomial values
+    tables = [
+        [monomial_row(a + x, d, ctx) for x in itertools.product(ctx.elements(), repeat=s)]
+        for a in strips
+    ]
     coeffs = [0] * slots
     joint_counts: dict[tuple[int, ...], int] = {}
     for idx in range(q ** slots):

@@ -45,6 +45,18 @@ def monomials(nvars: int, maxdeg: int) -> tuple[ExpVec, ...]:
     return tuple(out)
 
 
+def monomial_row(point: tuple[int, ...], maxdeg: int, ctx: FieldCtx) -> list[int]:
+    """Values at point of every monomial of degree <= maxdeg, in `monomials` order."""
+    row = []
+    for e in monomials(len(point), maxdeg):
+        v = 1
+        for x, k in zip(point, e):
+            if k:
+                v = ctx.mul(v, ctx.pow(x, k))
+        row.append(v)
+    return row
+
+
 def term_sort_key(exps: ExpVec) -> tuple[int, ExpVec]:
     return (sum(exps), exps)
 
@@ -332,13 +344,6 @@ def _distinct_root_part(f: UPoly, ctx: FieldCtx) -> UPoly:
     xq = xq_mod(f, ctx)
     g = upoly_gcd(f, upoly_sub(xq, X_POLY, ctx), ctx)
     return g
-
-
-def count_rational_roots(f: UPoly, ctx: FieldCtx) -> int:
-    if not f:
-        raise DomainError("zero polynomial has every element as a root")
-    d = upoly_deg(_distinct_root_part(f, ctx))
-    return max(d, 0)
 
 
 def rational_roots(f: UPoly, ctx: FieldCtx) -> set[int]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, FMatrix
-from .mpoly import MPoly, monomials
+from .mpoly import MPoly, monomial_row, monomials
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -176,16 +176,10 @@ def vandermonde_a(points: list[tuple[int, ...]], d: int, ctx: FieldCtx) -> FMatr
     r = len(points[0])
     if any(len(pt) != r for pt in points):
         raise UsageError("points must share a dimension")
-    exps = monomials(r, d)
     entries: list[int] = []
     for pt in points:
-        for e in exps:
-            v = 1
-            for var, exp in enumerate(e):
-                if exp:
-                    v = ctx.mul(v, ctx.pow(pt[var], exp))
-            entries.append(v)
-    return FMatrix(s, len(exps), entries)
+        entries.extend(monomial_row(pt, d, ctx))
+    return FMatrix(s, len(monomials(r, d)), entries)
 
 
 def condition_matrix(
@@ -215,19 +209,12 @@ def condition_matrix(
     s_dim = len(point_sets[0][0])
     if any(len(x) != s_dim for ps in point_sets for x in ps):
         raise UsageError("points must share a dimension")
-    exps = monomials(r, d)
     entries: list[int] = []
     nrows = 0
     for a, ps in zip(strips, point_sets):
         if len(a) + s_dim != r:
             raise UsageError("strip length plus point dimension must equal r")
         for x in ps:
-            full = tuple(a) + tuple(x)
-            for e in exps:
-                v = 1
-                for var, exp in enumerate(e):
-                    if exp:
-                        v = ctx.mul(v, ctx.pow(full[var], exp))
-                entries.append(v)
+            entries.extend(monomial_row(tuple(a) + tuple(x), d, ctx))
             nrows += 1
-    return FMatrix(nrows, len(exps), entries)
+    return FMatrix(nrows, len(monomials(r, d)), entries)

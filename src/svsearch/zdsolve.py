@@ -12,6 +12,7 @@ extension fields.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from .ffield import LOG_TABLE_LIMIT, FieldCtx
 from .mpoly import (
     MPoly,
     UPoly,
-    count_rational_roots,
     is_squarefree,
     lift_with_embedding,
     rational_roots,
@@ -35,6 +35,7 @@ from .mpoly import (
 
 GRID_LIMIT = 1 << 24
 NUMPY_PRIME_LIMIT = 1 << 25
+ZERO_CHUNK = 1 << 14  # grid cells searched for zeros at a time
 
 
 @dataclass(frozen=True)
@@ -181,52 +182,31 @@ def _grid_mask(query: ZeroDimQuery) -> np.ndarray:
     return mask
 
 
-def _exhaustive_capacity(query: ZeroDimQuery) -> None:
-    if query.ctx.q ** query.s > GRID_LIMIT:
-        raise CapacityError(f"grid of {query.ctx.q ** query.s} points exceeds 2^24")
-
-
 def _vector_path(ctx: FieldCtx) -> bool:
     if ctx.k == 1:
         return ctx.p <= NUMPY_PRIME_LIMIT
     return ctx.q <= LOG_TABLE_LIMIT
 
 
-def _count_exhaustive(query: ZeroDimQuery) -> int:
-    _exhaustive_capacity(query)
+def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
+    """Common zeros in row-major grid order (first coordinate slowest)."""
     ctx = query.ctx
+    if ctx.q ** query.s > GRID_LIMIT:
+        raise CapacityError(f"grid of {ctx.q ** query.s} points exceeds 2^24")
     if _vector_path(ctx):
-        return int(_grid_mask(query).sum())
-    count = 0
+        mask = _grid_mask(query).ravel()
+        shape = (ctx.q,) * query.s
+        # fixed chunks of cells: counting never holds every zero at once
+        for start in range(0, mask.size, ZERO_CHUNK):
+            flat = np.flatnonzero(mask[start : start + ZERO_CHUNK])
+            if flat.size:
+                coords = np.unravel_index(flat + start, shape)
+                yield from zip(*(axis.tolist() for axis in coords))
+        return
     live = [f for f in query.polys if not f.is_zero()]
     for point in itertools.product(ctx.elements(), repeat=query.s):
         if all(f.evaluate(point, ctx) == 0 for f in live):
-            count += 1
-    return count
-
-
-def _find_exhaustive(query: ZeroDimQuery) -> tuple[int, ...] | None:
-    _exhaustive_capacity(query)
-    ctx = query.ctx
-    if _vector_path(ctx):
-        mask = _grid_mask(query)
-        flat = np.flatnonzero(mask.reshape(-1))
-        if flat.size == 0:
-            return None
-        # C-order flattening: the first axis is the slowest-varying one
-        point = []
-        size = ctx.q ** query.s
-        idx = int(flat[0])
-        for _ in range(query.s):
-            size //= ctx.q
-            point.append(idx // size)
-            idx %= size
-        return tuple(point)
-    live = [f for f in query.polys if not f.is_zero()]
-    for point in itertools.product(ctx.elements(), repeat=query.s):
-        if all(f.evaluate(point, ctx) == 0 for f in live):
-            return tuple(point)
-    return None
+            yield point
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +228,6 @@ def _specialized_y_poly(fc: list[UPoly], x: int, ctx: FieldCtx) -> UPoly:
     return upoly_trim([upoly_eval(cj, x, ctx) for cj in fc])
 
 
-def _count_common_y(fx: UPoly, gx: UPoly, ctx: FieldCtx) -> int:
-    """Number of common Y-roots of two specialized univariates."""
-    if not fx and not gx:
-        return ctx.q
-    if not fx:
-        return count_rational_roots(gx, ctx) if upoly_deg(gx) >= 1 else 0
-    if not gx:
-        return count_rational_roots(fx, ctx) if upoly_deg(fx) >= 1 else 0
-    g = upoly_gcd(fx, gx, ctx)
-    return count_rational_roots(g, ctx) if upoly_deg(g) >= 1 else 0
-
-
 def _common_y_roots(fx: UPoly, gx: UPoly, ctx: FieldCtx) -> list[int]:
     if not fx and not gx:
         return list(ctx.elements())
@@ -271,129 +239,69 @@ def _common_y_roots(fx: UPoly, gx: UPoly, ctx: FieldCtx) -> list[int]:
     return sorted(rational_roots(g, ctx)) if upoly_deg(g) >= 1 else []
 
 
-def _resultant_candidates(query: ZeroDimQuery) -> tuple[list[int] | None, list[list[UPoly]]]:
+def _resultant_candidates(
+    live: list[MPoly], coeff_lists: list[list[UPoly]], ctx: FieldCtx
+) -> list[int] | None:
     """Candidate first coordinates for common zeros, or None for "all".
 
     A rational common zero (x, y) must have x among the rational roots of
     the resultant, or make both leading Y-coefficients vanish; when the
-    resultant vanishes identically (shared factor) every x qualifies.
+    resultant vanishes identically (shared factor) every x qualifies.  A
+    polynomial constant in Y confines x to the roots of its X-part.
     """
-    ctx = query.ctx
-    live = [f for f in query.polys if not f.is_zero()]
-    coeff_lists = [f.coeffs_in_last_var(ctx) for f in live]
-    if len(live) == 0:
-        return None, coeff_lists
-    if len(live) == 1:
-        return None, coeff_lists
+    if len(live) < 2:
+        return None
+    for f, fc in zip(live, coeff_lists):
+        if len(fc) == 1:
+            fx = _poly_as_upoly_in_x(f)
+            return sorted(rational_roots(fx, ctx)) if upoly_deg(fx) >= 1 else []
     f, g = live
-    if all(c == 0 for c in (f.degree, g.degree)):
-        # nonzero constants: no zeros anywhere
-        return [], coeff_lists
     fc, gc = coeff_lists
-    n, m = len(fc) - 1, len(gc) - 1
-    if n == 0 and m == 0:
-        # both constant in Y: candidates are the common roots in X
-        fx, gx = _poly_as_upoly_in_x(f), _poly_as_upoly_in_x(g)
-        if upoly_deg(fx) < 1 and upoly_deg(gx) < 1:
-            return [], coeff_lists
-        u = upoly_gcd(fx, gx, ctx)
-        return (sorted(rational_roots(u, ctx)) if upoly_deg(u) >= 1 else []), coeff_lists
-    if n == 0:
-        fx = _poly_as_upoly_in_x(f)
-        if upoly_deg(fx) < 1:
-            return [], coeff_lists  # nonzero constant
-        return sorted(rational_roots(fx, ctx)), coeff_lists
-    if m == 0:
-        gx = _poly_as_upoly_in_x(g)
-        if upoly_deg(gx) < 1:
-            return [], coeff_lists
-        return sorted(rational_roots(gx, ctx)), coeff_lists
     res = resultant_y(f, g, ctx)
     if not res:
-        return None, coeff_lists  # shared factor: scan every x
+        return None  # shared factor: scan every x
     cands = set(rational_roots(res, ctx)) if upoly_deg(res) >= 1 else set()
-    lcf, lcg = fc[n], gc[m]
+    lcf, lcg = fc[-1], gc[-1]
     if upoly_deg(lcf) >= 1 and upoly_deg(lcg) >= 1:
         shared = upoly_gcd(lcf, lcg, ctx)
         if upoly_deg(shared) >= 1:
             cands |= rational_roots(shared, ctx)
-    return sorted(cands), coeff_lists
+    return sorted(cands)
 
 
-def _resultant_precheck(query: ZeroDimQuery) -> None:
+def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
+    """Common zeros ordered by first coordinate, then by second (s = 2)."""
     if query.s != 2:
         raise CapacityError("resultant backend supports s = 2 only")
-
-
-def _count_resultant(query: ZeroDimQuery) -> int:
-    _resultant_precheck(query)
     ctx = query.ctx
-    cands, coeff_lists = _resultant_candidates(query)
-    live = coeff_lists
-    if len(live) == 0:
-        return ctx.q ** 2
-    if len(live) == 1:
-        fc = live[0]
-        total = 0
-        for x in ctx.elements():
-            fx = _specialized_y_poly(fc, x, ctx)
-            if not fx:
-                total += ctx.q
-            elif upoly_deg(fx) >= 1:
-                total += count_rational_roots(fx, ctx)
-        return total
-    fc, gc = live
-    xs = ctx.elements() if cands is None else cands
-    total = 0
-    for x in xs:
+    live = [f for f in query.polys if not f.is_zero()]
+    coeff_lists = [f.coeffs_in_last_var(ctx) for f in live]
+    cands = _resultant_candidates(live, coeff_lists, ctx)
+    # a zero polynomial imposes nothing: it specializes to ()
+    fc, gc = coeff_lists + [[]] * (2 - len(live))
+    for x in ctx.elements() if cands is None else cands:
         fx = _specialized_y_poly(fc, x, ctx)
         gx = _specialized_y_poly(gc, x, ctx)
-        total += _count_common_y(fx, gx, ctx)
-    return total
-
-
-def _find_resultant(query: ZeroDimQuery) -> tuple[int, ...] | None:
-    _resultant_precheck(query)
-    ctx = query.ctx
-    cands, coeff_lists = _resultant_candidates(query)
-    live = coeff_lists
-    if len(live) == 0:
-        return (0, 0)
-    if len(live) == 1:
-        fc = live[0]
-        for x in ctx.elements():
-            fx = _specialized_y_poly(fc, x, ctx)
-            if not fx:
-                return (x, 0)
-            if upoly_deg(fx) >= 1:
-                roots = rational_roots(fx, ctx)
-                if roots:
-                    return (x, min(roots))
-        return None
-    fc, gc = live
-    xs = ctx.elements() if cands is None else cands
-    for x in xs:
-        fx = _specialized_y_poly(fc, x, ctx)
-        gx = _specialized_y_poly(gc, x, ctx)
-        ys = _common_y_roots(fx, gx, ctx)
-        if ys:
-            return (x, ys[0])
-    return None
+        for y in _common_y_roots(fx, gx, ctx):
+            yield (x, y)
 
 
 # ---------------------------------------------------------------------------
 # public solving API
 
-BACKENDS = ("exhaustive", "resultant")
+_ENUMERATORS = {"exhaustive": _zeros_exhaustive, "resultant": _zeros_resultant}
+BACKENDS = tuple(_ENUMERATORS)
+
+
+def _zeros(query: ZeroDimQuery, backend: str) -> Iterator[tuple[int, ...]]:
+    if backend not in _ENUMERATORS:
+        raise UsageError(f"unknown backend {backend!r}")
+    return _ENUMERATORS[backend](query)
 
 
 def count_zeros(query: ZeroDimQuery, backend: str = "exhaustive") -> int:
     """Exact number of common rational zeros."""
-    if backend == "exhaustive":
-        return _count_exhaustive(query)
-    if backend == "resultant":
-        return _count_resultant(query)
-    raise UsageError(f"unknown backend {backend!r}")
+    return sum(1 for _ in _zeros(query, backend))
 
 
 def find_zero(query: ZeroDimQuery, backend: str = "exhaustive") -> tuple[int, ...] | None:
@@ -404,12 +312,7 @@ def find_zero(query: ZeroDimQuery, backend: str = "exhaustive") -> tuple[int, ..
     breaking ties by the second.  Every returned point is re-checked
     against all polynomials before being handed back.
     """
-    if backend == "exhaustive":
-        point = _find_exhaustive(query)
-    elif backend == "resultant":
-        point = _find_resultant(query)
-    else:
-        raise UsageError(f"unknown backend {backend!r}")
+    point = next(_zeros(query, backend), None)
     if point is not None:
         ctx = query.ctx
         for f in query.polys:
@@ -469,7 +372,7 @@ def count_zeros_ext(query: ZeroDimQuery, e: int) -> int:
     if (ctx.q ** e) ** query.s > GRID_LIMIT:
         raise CapacityError("extension grid exceeds 2^24 points")
     if e == 1:
-        return _count_exhaustive(query)
+        return count_zeros(query)
     ext, embed, _ = lift_with_embedding(ctx, e)
     if embed is None:
         lifted = query.polys  # prime base: encodings agree
@@ -478,7 +381,7 @@ def count_zeros_ext(query: ZeroDimQuery, e: int) -> int:
             MPoly(f.nvars, tuple((exps, embed(c)) for exps, c in f.terms)) for f in query.polys
         )
     lifted_query = ZeroDimQuery(ext, query.s, lifted, query.dmax)
-    return _count_exhaustive(lifted_query)
+    return count_zeros(lifted_query)
 
 
 def _mobius(n: int) -> int:

@@ -144,6 +144,40 @@ def test_solve_missing_file(capsys):
     assert code == 2
 
 
+VALID_DOC = {
+    "q": 3,
+    "r": 3,
+    "s": 2,
+    "d": 2,
+    "polynomials": [[{"c": 1, "e": [0, 1, 0]}], [{"c": 1, "e": [0, 0, 1]}]],
+}
+
+
+@pytest.mark.parametrize(
+    "polynomials",
+    [
+        [[{"e": [0, 1, 0]}], [{"c": 1, "e": [0, 0, 1]}]],  # a term with no "c"
+        5,  # not a list
+    ],
+    ids=["term_without_c", "polynomials_not_a_list"],
+)
+def test_solve_malformed_system_file_usage_error(capsys, tmp_path, polynomials):
+    path = make_system_file(tmp_path, dict(VALID_DOC, polynomials=polynomials))
+    code, _, err = run_cli(capsys, "solve", "--system", path, "--seed", "0")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_solve_system_path_is_directory(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "solve", "--system", str(tmp_path))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_solve_non_integer_strips_usage_error(capsys, tmp_path):
+    path = make_system_file(tmp_path, VALID_DOC)
+    code, _, err = run_cli(capsys, "solve", "--system", path, "--strips", "a,b,c")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_solve_capacity_exit_code(capsys, tmp_path):
     doc = {
         "q": 4099,

@@ -13,9 +13,11 @@ from svsearch.ffield import field_for_order, prime_field
 from svsearch.mpoly import MPoly, monomials
 from svsearch.sampler import RngStream
 from svsearch.zdsolve import (
+    ZERO_CHUNK,
     ZeroDimQuery,
     _grid_values_log,
     _poly_as_upoly_in_x,
+    _zeros,
     cond_h_certificate,
     count_zeros,
     count_zeros_ext,
@@ -155,7 +157,71 @@ def test_backend_agreement_random():
         assert n_exh == n_res, (q, d, [f.terms for f in query.polys])
         z_exh = find_zero(query, "exhaustive")
         z_res = find_zero(query, "resultant")
-        assert (z_exh is None) == (z_res is None)
+        assert z_exh == z_res, (q, d, [f.terms for f in query.polys])
+
+
+def degenerate_pairs(ctx):
+    """Named (f, g) pairs that take the resultant backend off its main path."""
+    m1 = ctx.neg(1)
+    # X^2 + X + a with no root in the field: exists for every q
+    a = next(
+        a for a in ctx.elements()
+        if all(ctx.add(ctx.add(ctx.mul(x, x), x), a) != 0 for x in ctx.elements())
+    )
+    zero = MPoly.zero(2)
+    return {
+        "one_zero": (zero, P(2, [((1, 1), 1), ((0, 0), m1)], ctx)),  # XY - 1
+        "both_zero": (zero, zero),
+        "const_in_y_with_roots": (
+            P(2, [((2, 0), 1), ((1, 0), m1)], ctx),  # X^2 - X
+            P(2, [((0, 2), 1), ((1, 0), m1)], ctx),  # Y^2 - X
+        ),
+        "const_in_y_without_roots": (
+            P(2, [((2, 0), 1), ((1, 0), 1), ((0, 0), a)], ctx),
+            P(2, [((0, 2), 1), ((1, 0), m1)], ctx),
+        ),
+        "nonzero_constant": (P(2, [((0, 0), 1)], ctx), P(2, [((0, 1), 1)], ctx)),
+        "both_const_in_y_shared_root": (
+            P(2, [((2, 0), 1), ((1, 0), m1)], ctx),  # X^2 - X
+            P(2, [((1, 0), 1), ((0, 0), m1)], ctx),  # X - 1
+        ),
+        "both_const_in_y_no_shared_root": (
+            P(2, [((1, 0), 1)], ctx),  # X
+            P(2, [((1, 0), 1), ((0, 0), m1)], ctx),  # X - 1
+        ),
+        "shared_factor": (
+            # (X - Y)(X + 1) and (X - Y)(Y + 1): the resultant is identically 0
+            P(2, [((2, 0), 1), ((1, 0), 1), ((1, 1), m1), ((0, 1), m1)], ctx),
+            P(2, [((1, 1), 1), ((1, 0), 1), ((0, 2), m1), ((0, 1), m1)], ctx),
+        ),
+        "leading_y_coeffs_share_root": (
+            # leading Y-coefficients X and X vanish together at x = 0
+            P(2, [((1, 1), 1), ((1, 0), 1)], ctx),  # XY + X
+            P(2, [((1, 2), 1), ((0, 1), 1), ((0, 0), m1)], ctx),  # XY^2 + Y - 1
+        ),
+    }
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_backend_agreement_degenerate(q):
+    ctx = field_for_order(q)
+    for name, (f, g) in degenerate_pairs(ctx).items():
+        query = ZeroDimQuery(ctx, 2, (f, g), 3)
+        n = brute_count(query)
+        assert count_zeros(query, "exhaustive") == n, (q, name)
+        assert count_zeros(query, "resultant") == n, (q, name)
+        assert find_zero(query, "exhaustive") == find_zero(query, "resultant"), (q, name)
+
+
+def test_count_crosses_zero_chunks():
+    # 65536 zeros span several chunks of the grid enumerator; the stream
+    # must keep row-major order across chunk boundaries
+    ctx = field_for_order(256)
+    query = ZeroDimQuery(ctx, 2, (MPoly.zero(2), MPoly.zero(2)), 2)
+    assert 65536 > ZERO_CHUNK
+    assert count_zeros(query, "exhaustive") == 65536
+    assert count_zeros(query, "resultant") == 65536
+    assert list(_zeros(query, "exhaustive")) == list(itertools.product(range(256), repeat=2))
 
 
 def test_exhaustive_matches_brute_force_s3():
