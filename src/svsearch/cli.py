@@ -191,7 +191,17 @@ def cmd_theory(args) -> int:
     return EXIT_OK
 
 
+_ORACLE_ARGS = {
+    "p1-exhaustive": ("q", "r", "s", "d"),
+    "sk-exhaustive": ("q", "r", "s", "d", "strips"),
+    "count-points": ("system",),
+}
+
+
 def cmd_oracle(args) -> int:
+    missing = [f"--{name}" for name in _ORACLE_ARGS[args.oracle] if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"oracle {args.oracle} needs {', '.join(missing)}")
     if args.oracle == "p1-exhaustive":
         value = exhaustive_p1(args.q, args.r, args.s, args.d)
         sys.stdout.write(json.dumps({"p1": str(value), "p1_float": float(value)}) + "\n")
@@ -205,19 +215,18 @@ def cmd_oracle(args) -> int:
             doc["note"] = "M singular: comparison hypotheses do not apply"
         sys.stdout.write(json.dumps(doc) + "\n")
         return EXIT_OK
-    if args.oracle == "count-points":
-        ctx, r, s, d, polys = _system_fields(_read_text(args.system))
-        if s != r:
-            SystemSpec(ctx, r, s, d, polys)  # checks 1 < s < r
-            if args.strip is None:
-                raise UsageError("count-points needs --strip for an underdetermined system")
-            strip = parse_strips(args.strip, r - s, ctx)[0]
-            polys = tuple(f.specialize(strip, ctx) for f in polys)
-        query = ZeroDimQuery(ctx, s, polys, d)
-        count = distinct_geometric_points(query)
-        sys.stdout.write(json.dumps({"distinct_geometric_points": count}) + "\n")
-        return EXIT_OK
-    raise UsageError(f"unknown oracle {args.oracle!r}")
+    # count-points
+    ctx, r, s, d, polys = _system_fields(_read_text(args.system))
+    if s != r:
+        SystemSpec(ctx, r, s, d, polys)  # checks 1 < s < r
+        if args.strip is None:
+            raise UsageError("count-points needs --strip for an underdetermined system")
+        strip = parse_strips(args.strip, r - s, ctx)[0]
+        polys = tuple(f.specialize(strip, ctx) for f in polys)
+    query = ZeroDimQuery(ctx, s, polys, d)
+    count = distinct_geometric_points(query)
+    sys.stdout.write(json.dumps({"distinct_geometric_points": count}) + "\n")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     theory.set_defaults(func=cmd_theory)
 
     oracle = sub.add_parser("oracle", help="exact brute-force baselines")
-    oracle.add_argument("oracle", choices=("p1-exhaustive", "sk-exhaustive", "count-points"))
+    oracle.add_argument("oracle", choices=tuple(_ORACLE_ARGS))
     oracle.add_argument("--q", type=int)
     oracle.add_argument("--r", type=int)
     oracle.add_argument("--s", type=int)

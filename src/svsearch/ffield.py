@@ -195,7 +195,7 @@ class FieldCtx:
 
     # -- basic structure ---------------------------------------------------
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.p ** self.k
 
@@ -204,6 +204,8 @@ class FieldCtx:
         return range(self.q)
 
     def check(self, a: int) -> int:
+        if type(a) is int and 0 <= a < self.q:  # the common case, first
+            return a
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
             raise UsageError(f"{a!r} is not an element of GF({self.p}^{self.k})")
         return a

@@ -208,6 +208,8 @@ def run_experiment(
     """
     if n_trials < 1:
         raise UsageError("need at least one trial")
+    if hstar is not None and hstar < 1:
+        raise UsageError(f"strip budget hstar must be >= 1, got {hstar}")
     ctx = field_for_order(q)
     hstar = hstar if hstar is not None else r - s + 1
     t0 = time.monotonic()

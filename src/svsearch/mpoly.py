@@ -9,6 +9,7 @@ index = exponent, with no trailing zeros; () is the zero polynomial.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,8 +19,7 @@ from .ffield import FieldCtx, extension_field
 ExpVec = tuple[int, ...]
 UPoly = tuple[int, ...]
 
-ROOT_SCAN_LIMIT = 1 << 16
-EVEN_SCAN_LIMIT = 1 << 20
+LIFT_TABLE_LIMIT = 1 << 16  # largest extension base whose element table lift_with_embedding builds
 
 
 @lru_cache(maxsize=None)
@@ -207,10 +207,6 @@ def upoly_deg(f: UPoly) -> int:
     return len(f) - 1
 
 
-def upoly_from_const(c: int) -> UPoly:
-    return (c,) if c else ()
-
-
 X_POLY: UPoly = (0, 1)
 
 
@@ -337,43 +333,48 @@ def is_squarefree(f: UPoly, ctx: FieldCtx) -> bool:
     return upoly_deg(upoly_gcd(f, fp, ctx)) == 0
 
 
-def _distinct_root_part(f: UPoly, ctx: FieldCtx) -> UPoly:
-    """Monic product of (X - r) over the distinct roots of f in the field."""
-    if upoly_deg(f) == 0:
-        return (1,)
-    xq = xq_mod(f, ctx)
-    g = upoly_gcd(f, upoly_sub(xq, X_POLY, ctx), ctx)
-    return g
-
-
 def rational_roots(f: UPoly, ctx: FieldCtx) -> set[int]:
     """Exactly the roots of f in the field, each once.
 
-    Strategy: reduce to g = gcd(f, X^q - X), then scan the field when q
-    is small and split g by gcd with shifted half-power polynomials for
-    large odd q.  Shifts are taken from a fixed deterministic sequence so
-    results are reproducible without an RNG.
+    g = gcd(f, X^q - X) is the product of the distinct linear factors of
+    f, and equal-degree splitting takes g apart, so the cost grows with
+    deg g and log q, not with q.  The splitters come from a fixed
+    sequence, so results are reproducible without an RNG.
     """
     if not f:
         raise DomainError("zero polynomial has every element as a root")
-    g = _distinct_root_part(f, ctx)
-    dg = upoly_deg(g)
-    if dg <= 0:
-        return set()
-    q = ctx.q
-    if q <= ROOT_SCAN_LIMIT:
-        return {x for x in ctx.elements() if upoly_eval(g, x, ctx) == 0}
-    if q % 2 == 0:
-        if q <= EVEN_SCAN_LIMIT:
-            return {x for x in ctx.elements() if upoly_eval(g, x, ctx) == 0}
-        raise CapacityError("root finding for even q > 2^20 is out of scope")
     roots: set[int] = set()
-    _split_linear_product(g, ctx, roots)
+    if upoly_deg(f) >= 1:
+        g = upoly_gcd(f, upoly_sub(xq_mod(f, ctx), X_POLY, ctx), ctx)
+        _split_linear_product(g, ctx, roots)
     return roots
 
 
+def _splitters(g: UPoly, ctx: FieldCtx) -> Iterator[UPoly]:
+    """Polynomials w such that gcd(g, w) splits g when w vanishes at some
+    roots of g but not at all.
+
+    Odd q: (X + c)^((q-1)/2) - 1 for c = 0, 1, ...  q = 2^k: the trace
+    Tr(bX) = sum of (bX)^(2^i), i < k, mod g, for b = 1, 2, 4, ..., 2^(k-1);
+    for roots r1 != r2, b -> Tr(b(r1 - r2)) is a nonzero linear map, so
+    one basis b separates them.
+    """
+    if ctx.p == 2:
+        for j in range(ctx.k):
+            power = upoly_mod((0, 1 << j), g, ctx)
+            trace = power
+            for _ in range(ctx.k - 1):
+                power = upoly_mod(upoly_mul(power, power, ctx), g, ctx)
+                trace = upoly_add(trace, power, ctx)
+            yield trace
+        return
+    half = (ctx.q - 1) // 2
+    for c in ctx.elements():
+        yield upoly_sub(upoly_pow_mod((c, 1), half, g, ctx), (1,), ctx)
+
+
 def _split_linear_product(g: UPoly, ctx: FieldCtx, roots: set[int]) -> None:
-    """Equal-degree splitting of a squarefree product of linear factors."""
+    """Add the roots of g, a squarefree product of linear factors, to roots."""
     dg = upoly_deg(g)
     if dg == 0:
         return
@@ -381,18 +382,13 @@ def _split_linear_product(g: UPoly, ctx: FieldCtx, roots: set[int]) -> None:
         # c0 + c1 X = 0  ->  X = -c0/c1
         roots.add(ctx.mul(ctx.neg(g[0]), ctx.inv(g[1])))
         return
-    half = (ctx.q - 1) // 2
-    for shift in range(ctx.q):
-        shifted: UPoly = (shift, 1) if shift else X_POLY
-        w = upoly_pow_mod(shifted, half, g, ctx)
-        w = upoly_sub(w, (1,), ctx)
-        if w:
-            h = upoly_gcd(g, w, ctx)
-            if 0 < upoly_deg(h) < dg:
-                _split_linear_product(h, ctx, roots)
-                _split_linear_product(upoly_divmod(g, h, ctx)[0], ctx, roots)
-                return
-    raise CapacityError("root splitting failed to separate factors")
+    for w in _splitters(g, ctx):
+        h = upoly_gcd(g, w, ctx)
+        if 0 < upoly_deg(h) < dg:
+            _split_linear_product(h, ctx, roots)
+            _split_linear_product(upoly_divmod(g, h, ctx)[0], ctx, roots)
+            return
+    raise AssertionError("no splitter separated the roots of a squarefree product")
 
 
 def lagrange_interpolate(xs: list[int], ys: list[int], ctx: FieldCtx) -> UPoly:
@@ -472,7 +468,7 @@ def lift_with_embedding(ctx: FieldCtx, e: int):
         return (ctx, None, None)
     if ctx.k == 1:
         return (extension_field(ctx.p, e), None, None)
-    if ctx.q > ROOT_SCAN_LIMIT:
+    if ctx.q > LIFT_TABLE_LIMIT:
         raise CapacityError("extension base field too large to lift")
     ext = extension_field(ctx.p, ctx.k * e)
     base_mod = upoly_trim(ctx.modulus)  # GF(p) coefficients embed unchanged
@@ -490,9 +486,14 @@ def lift_with_embedding(ctx: FieldCtx, e: int):
     return (ext, table.__getitem__, unembed)
 
 
+@lru_cache(maxsize=1)
 def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
     """Resultant of two bivariate polynomials with respect to the second
     variable, as a univariate polynomial in the first.
+
+    The last result is cached: on a certified strip search, the
+    certificate and the resultant backend ask for the same resultant one
+    after the other.
 
     Computed by evaluation-interpolation: specialize the first variable at
     sample points where neither leading Y-coefficient vanishes, take the

@@ -87,6 +87,8 @@ def run_svs(
         raise UsageError("provide exactly one strip source: explicit strips or a stream")
     if certify and system.s != 2:
         raise UsageError("certificates are only defined for s = 2")
+    if hstar is not None and hstar < 1:
+        raise UsageError(f"strip budget hstar must be >= 1, got {hstar}")
 
     if strips is not None:
         strips = [tuple(a) for a in strips]

@@ -245,9 +245,11 @@ def _resultant_candidates(
     """Candidate first coordinates for common zeros, or None for "all".
 
     A rational common zero (x, y) must have x among the rational roots of
-    the resultant, or make both leading Y-coefficients vanish; when the
-    resultant vanishes identically (shared factor) every x qualifies.  A
-    polynomial constant in Y confines x to the roots of its X-part.
+    the resultant.  That holds also where both leading Y-coefficients
+    vanish at x: there the first column of the Sylvester matrix is zero,
+    so the resultant vanishes at x too.  When the resultant vanishes
+    identically (shared factor) every x qualifies.  A polynomial constant
+    in Y confines x to the roots of its X-part.
     """
     if len(live) < 2:
         return None
@@ -256,17 +258,10 @@ def _resultant_candidates(
             fx = _poly_as_upoly_in_x(f)
             return sorted(rational_roots(fx, ctx)) if upoly_deg(fx) >= 1 else []
     f, g = live
-    fc, gc = coeff_lists
     res = resultant_y(f, g, ctx)
     if not res:
         return None  # shared factor: scan every x
-    cands = set(rational_roots(res, ctx)) if upoly_deg(res) >= 1 else set()
-    lcf, lcg = fc[-1], gc[-1]
-    if upoly_deg(lcf) >= 1 and upoly_deg(lcg) >= 1:
-        shared = upoly_gcd(lcf, lcg, ctx)
-        if upoly_deg(shared) >= 1:
-            cands |= rational_roots(shared, ctx)
-    return sorted(cands)
+    return sorted(rational_roots(res, ctx)) if upoly_deg(res) >= 1 else []
 
 
 def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:

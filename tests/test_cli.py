@@ -178,6 +178,23 @@ def test_solve_non_integer_strips_usage_error(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("hstar", ["0", "-3"])
+def test_solve_nonpositive_hstar_usage_error(capsys, tmp_path, hstar):
+    path = make_system_file(tmp_path, VALID_DOC)
+    code, _, err = run_cli(capsys, "solve", "--system", path, "--hstar", hstar)
+    assert code == 2 and err.startswith("error:")
+
+
+def test_experiment_nonpositive_hstar_usage_error(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "experiment", "--q", "5", "--r", "3", "--s", "2", "--d", "2",
+        "--trials", "2", "--seed", "0", "--hstar", "0", "--out", str(out_dir),
+    )
+    assert code == 2 and err.startswith("error:")
+    assert not out_dir.exists()
+
+
 def test_solve_capacity_exit_code(capsys, tmp_path):
     doc = {
         "q": 4099,
@@ -260,6 +277,20 @@ def test_oracle_sk(capsys):
     doc = json.loads(out)
     assert doc["m_invertible"] is False
     assert "M singular" in doc["note"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sk-exhaustive", "--q", "2", "--r", "3", "--s", "2", "--d", "2"],
+        ["count-points"],
+        ["p1-exhaustive", "--r", "3", "--s", "2", "--d", "2"],
+    ],
+    ids=["sk_without_strips", "count_points_without_system", "p1_without_q"],
+)
+def test_oracle_missing_argument_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, "oracle", *argv)
+    assert code == 2 and err.startswith("error:")
 
 
 def test_oracle_count_points(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from svsearch.errors import CapacityError, DomainError, UsageError
@@ -146,6 +147,14 @@ def test_field_ops_reject_foreign_values():
         c5.mul(-1, 2)
     with pytest.raises(UsageError):
         c5.check(True)
+    for foreign in (False, 5, -1, np.int64(2), 2.0):
+        with pytest.raises(UsageError):
+            c5.check(foreign)
+
+    class Element(int):
+        pass
+
+    assert c5.check(Element(3)) == 3
 
 
 def test_coeffs_roundtrip():

@@ -174,9 +174,12 @@ def test_rational_roots_examples():
         rational_roots((), c5)
 
 
+PRIME_POWERS_TO_64 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64)  # every prime power <= 64
+
+
 def test_rational_roots_agree_with_scan_small_fields():
     rng = RngStream(17, 0)
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64):  # every prime power <= 64
+    for q in PRIME_POWERS_TO_64:
         ctx = field_for_order(q)
         for _ in range(10):
             deg = 1 + rng.next_below(4)
@@ -185,9 +188,41 @@ def test_rational_roots_agree_with_scan_small_fields():
             assert rational_roots(f, ctx) == expected
 
 
+def _distinct_elements(ctx, n, rng):
+    out = set()
+    while len(out) < n:
+        out.add(rng.next_below(ctx.q))
+    return out
+
+
+def _linear_product(roots, ctx):
+    f = (1,)
+    for root in roots:
+        f = upoly_mul(f, (ctx.neg(root), 1), ctx)
+    return f
+
+
+def test_rational_roots_of_linear_products_every_small_q():
+    # both splitters: (X + c)^((q-1)/2) - 1 for odd q, traces for q = 2^k
+    for q in PRIME_POWERS_TO_64:
+        ctx = field_for_order(q)
+        rng = RngStream(31, q)
+        for n in range(1, min(q, 8) + 1):
+            roots = _distinct_elements(ctx, n, rng)
+            assert rational_roots(_linear_product(roots, ctx), ctx) == roots
+        xq_minus_x = upoly_sub(tuple([0] * q + [1]), (0, 1), ctx)
+        assert rational_roots(xq_minus_x, ctx) == set(ctx.elements())
+
+
+def test_rational_roots_even_q_above_two_to_the_twenty():
+    ctx = field_for_order(1 << 21)  # no log tables: digit arithmetic
+    roots = _distinct_elements(ctx, 4, RngStream(29, 3))
+    assert rational_roots(_linear_product(roots, ctx), ctx) == roots
+
+
 def test_rational_roots_splitting_path_large_q():
-    # q > 2^16 forces the gcd-splitting branch
-    ctx = prime_field(131071)  # 2^17 - 1, above the scan threshold
+    # a prime above 2^16: the splitting cost grows with log q, not with q
+    ctx = prime_field(131071)  # 2^17 - 1
     rng = RngStream(23, 5)
     for _ in range(5):
         roots = {1 + rng.next_below(ctx.q - 1) for _ in range(4)}

@@ -10,7 +10,7 @@ import pytest
 import svsearch
 from svsearch.errors import CapacityError, UsageError
 from svsearch.ffield import field_for_order, prime_field
-from svsearch.mpoly import MPoly, monomials
+from svsearch.mpoly import MPoly, monomials, resultant_y
 from svsearch.sampler import RngStream
 from svsearch.zdsolve import (
     ZERO_CHUNK,
@@ -266,6 +266,18 @@ def test_certificate_examples():
 
     with pytest.raises(UsageError):
         cond_h_certificate(ZeroDimQuery(c5, 3, tuple(MPoly.zero(3) for _ in range(3)), 2))
+
+
+def test_certificate_and_backend_share_one_resultant():
+    c5 = prime_field(5)
+    f = P(2, [((2, 0), 1), ((0, 1), 4)], c5)
+    g = P(2, [((0, 2), 1), ((0, 0), 3)], c5)
+    query = ZeroDimQuery(c5, 2, (f, g), 2)
+    resultant_y.cache_clear()
+    cond_h_certificate(query)
+    find_zero(query, "resultant")
+    info = resultant_y.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_certificate_invariant():
