@@ -391,8 +391,8 @@ def extension_field(p: int, k: int, modulus: tuple[int, ...] | None = None) -> F
     return FieldCtx(p, k, modulus)
 
 
-def field_for_order(q: int) -> FieldCtx:
-    """GF(q) for a prime power q, with the canonical (smallest) modulus."""
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k for prime p; UsageError unless q is a prime power."""
     if q < 2:
         raise UsageError("field order must be >= 2")
     p = None
@@ -411,6 +411,12 @@ def field_for_order(q: int) -> FieldCtx:
         k += 1
     if n != 1:
         raise UsageError(f"q={q} is not a prime power")
+    return p, k
+
+
+def field_for_order(q: int) -> FieldCtx:
+    """GF(q) for a prime power q, with the canonical (smallest) modulus."""
+    p, k = prime_power(q)
     return FieldCtx(p) if k == 1 else FieldCtx(p, k)
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .errors import CapacityError, UsageError
-from .ffield import FieldCtx, field_for_order, matrix_rank
-from .mpoly import monomial_row, monomials
+from .ffield import FieldCtx, FMatrix, field_for_order, matrix_rank
+from .mpoly import monomial_row
 from .sampler import RngStream, Strip, m_matrix, sample_system
 from .svs import run_svs
 from .theory import (
@@ -210,6 +210,8 @@ def run_experiment(
         raise UsageError("need at least one trial")
     if hstar is not None and hstar < 1:
         raise UsageError(f"strip budget hstar must be >= 1, got {hstar}")
+    if workers < 1:
+        raise UsageError(f"need at least one worker, got {workers}")
     ctx = field_for_order(q)
     hstar = hstar if hstar is not None else r - s + 1
     t0 = time.monotonic()
@@ -359,85 +361,72 @@ def _jsonable_comparison(c: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracles
+# exact oracles
 
 
-def _enum_capacity(q: int, r: int, s: int, d: int) -> int:
-    slots = len(monomials(r, d))
-    pairs = q ** (s * slots) * q ** (r - s)
-    if pairs > ENUM_LIMIT:
-        raise CapacityError(f"{pairs} system-strip pairs exceed the 2^26 enumeration cap")
-    return slots
+def _all_strips_hit(ctx: FieldCtx, s: int, d: int, strips: list[Strip]) -> Fraction:
+    """Exact chance that s uniform polynomials of degree <= d share a zero in every strip.
 
-
-def _strip_mask_counts(ctx: FieldCtx, r: int, s: int, d: int, strip: Strip) -> dict[int, int]:
-    """For one strip: how many single polynomials have each zero pattern.
-
-    The pattern is a bitmask over the q^s grid points of the strip (bit i
-    set = the polynomial vanishes at grid point i, row-major order).
+    Whether a system hits depends only on each polynomial's values at the
+    strip points, M c for its coefficient vector c, where the rows of M
+    are the points' `monomial_row`s.  For uniform c, M c is uniform on
+    the column space of M, and so is B b for uniform b when the columns
+    B form a basis of that space.  So only the q^R vectors b on R
+    greedily chosen pivot monomials are enumerated, out of q^slots.
     """
     q = ctx.q
-    tables = [
-        monomial_row(tuple(strip) + x, d, ctx)
-        for x in itertools.product(ctx.elements(), repeat=s)
-    ]
+
+    def refuse_above(rank: int) -> None:
+        if q ** (s * rank) > ENUM_LIMIT:
+            raise CapacityError(f"rank >= {rank}: {q}^({s}*{rank}) systems exceed the 2^26 enumeration cap")
+
+    refuse_above(s + 1)  # 1, x_1, ..., x_s are independent on any strip
+    grid = list(itertools.product(ctx.elements(), repeat=s))
+    rows = [monomial_row(a + x, d, ctx) for a in strips for x in grid]
+    basis: list[tuple[int, ...]] = []  # pivot columns, each over every point
+    for column in zip(*rows):
+        cand = basis + [column]
+        entries = [v for col in cand for v in col]
+        if matrix_rank(FMatrix(len(cand), len(rows), entries), ctx) == len(cand):
+            basis = cand
+            refuse_above(len(basis))
+    # bit i of a pattern: the polynomial vanishes at point i (strip by strip, row-major)
+    point_rows = list(zip(*basis))
     counts: dict[int, int] = {}
-    nslots = len(monomials(r, d))
-    coeffs = [0] * nslots
-    total = q ** nslots
-    for idx in range(total):
-        m = idx
-        for i in range(nslots):
-            coeffs[i] = m % q
-            m //= q
+    for coeffs in itertools.product(ctx.elements(), repeat=len(basis)):
         mask = 0
-        for bit, row in enumerate(tables):
+        for bit, row in enumerate(point_rows):
             acc = 0
-            for c, mv in zip(coeffs, row):
-                if c and mv:
-                    acc = ctx.add(acc, ctx.mul(c, mv))
+            for c, v in zip(coeffs, row):
+                if c and v:
+                    acc = ctx.add(acc, ctx.mul(c, v))
             if acc == 0:
                 mask |= 1 << bit
         counts[mask] = counts.get(mask, 0) + 1
-    return counts
-
-
-def _tuple_counts(counts: dict[int, int], s: int) -> dict[int, int]:
-    """Distribution of the AND of s independent zero patterns."""
-    acc = dict(counts)
+    joint = counts  # common-zero patterns of the first j polynomials
     for _ in range(s - 1):
         new: dict[int, int] = {}
-        for m1, c1 in acc.items():
+        for m1, c1 in joint.items():
             for m2, c2 in counts.items():
-                key = m1 & m2
-                new[key] = new.get(key, 0) + c1 * c2
-        acc = new
-    return acc
-
-
-def exhaustive_p1(q: int, r: int, s: int, d: int, strip_order: list[Strip] | None = None) -> Fraction:
-    """Exact first-strip success probability by full enumeration.
-
-    Every coefficient vector (zero polynomial included) and every strip
-    is visited; the result is the exact fraction of (strip, system)
-    pairs whose specialized system has a rational zero.  strip_order, if
-    given, must be a permutation of the full strip set.
-    """
-    slots = _enum_capacity(q, r, s, d)
-    ctx = field_for_order(q)
-    strips = (
-        [tuple(a) for a in itertools.product(ctx.elements(), repeat=r - s)]
-        if strip_order is None
-        else [tuple(a) for a in strip_order]
+                new[m1 & m2] = new.get(m1 & m2, 0) + c1 * c2
+        joint = new
+    strip_bits = (1 << len(grid)) - 1
+    hits = sum(
+        cnt
+        for mask, cnt in joint.items()
+        if all(mask >> (i * len(grid)) & strip_bits for i in range(len(strips)))
     )
-    numer = 0
-    for strip in strips:
-        counts = _strip_mask_counts(ctx, r, s, d, strip)
-        for mask, cnt in _tuple_counts(counts, s).items():
-            if mask:
-                numer += cnt
-    denom = len(strips) * q ** (s * slots)
-    return Fraction(numer, denom)
+    return Fraction(hits, q ** (s * len(basis)))
+
+
+def exhaustive_p1(q: int, r: int, s: int, d: int) -> Fraction:
+    """Exact first-strip success probability over uniform systems (zero polynomial included).
+
+    Specializing the first r - s coordinates maps uniform polynomials onto
+    uniform polynomials of degree <= d in s variables, whatever the strip,
+    so p1 depends on neither the strip nor r and one strip gives it.
+    """
+    return exhaustive_sk(q, r, s, d, [(0,) * (r - s)])[0]
 
 
 def exhaustive_sk(q: int, r: int, s: int, d: int, strips: list[Strip]) -> tuple[Fraction, bool]:
@@ -446,47 +435,20 @@ def exhaustive_sk(q: int, r: int, s: int, d: int, strips: list[Strip]) -> tuple[
     Also reports whether the strips' coordinate matrix is invertible (the
     hypothesis of the joint bound); the fraction is computed either way.
     """
-    if not strips:
-        raise UsageError("need at least one strip")
-    slots = _enum_capacity(q, r, s, d)
     ctx = field_for_order(q)
+    if not 1 < s < r:
+        raise UsageError(f"need 1 < s < r, got s={s}, r={r}")
+    if d < 1:
+        raise UsageError(f"degree bound must be >= 1, got {d}")
     strips = [tuple(a) for a in strips]
+    if not 1 <= len(strips) <= r - s + 1:
+        raise UsageError(f"need 1 to {r - s + 1} strips, got {len(strips)}")
     if len(set(strips)) != len(strips):
         raise UsageError("strips must be distinct")
-    # per strip: per grid point, row-major: monomial values
-    tables = [
-        [monomial_row(a + x, d, ctx) for x in itertools.product(ctx.elements(), repeat=s)]
-        for a in strips
-    ]
-    coeffs = [0] * slots
-    joint_counts: dict[tuple[int, ...], int] = {}
-    for idx in range(q ** slots):
-        m = idx
-        for i in range(slots):
-            coeffs[i] = m % q
-            m //= q
-        key = []
-        for tab in tables:
-            mask = 0
-            for bit, row in enumerate(tab):
-                acc = 0
-                for c, mv in zip(coeffs, row):
-                    if c and mv:
-                        acc = ctx.add(acc, ctx.mul(c, mv))
-                if acc == 0:
-                    mask |= 1 << bit
-            key.append(mask)
-        key = tuple(key)
-        joint_counts[key] = joint_counts.get(key, 0) + 1
-    acc = dict(joint_counts)
-    for _ in range(s - 1):
-        new: dict[tuple[int, ...], int] = {}
-        for k1, c1 in acc.items():
-            for k2, c2 in joint_counts.items():
-                key = tuple(a & b for a, b in zip(k1, k2))
-                new[key] = new.get(key, 0) + c1 * c2
-        acc = new
-    numer = sum(cnt for key, cnt in acc.items() if all(key))
-    mat = m_matrix(strips)
-    invertible = matrix_rank(mat, ctx) == len(strips)
-    return Fraction(numer, q ** (s * slots)), invertible
+    for a in strips:
+        if len(a) != r - s:
+            raise UsageError(f"strip {a} must have {r - s} coordinates")
+        for x in a:
+            ctx.check(x)
+    value = _all_strips_hit(ctx, s, d, strips)
+    return value, matrix_rank(m_matrix(strips), ctx) == len(strips)

@@ -14,12 +14,27 @@ from math import comb, factorial, log2
 from typing import NamedTuple
 
 from .errors import DomainError, UsageError
+from .ffield import prime_power
 
 STIRLING_CAP = 20
 UL_CAP = 32
 
 # rational upper bound on e: sum_{k<=45} 1/k! plus a tail dominator
 E_UPPER: Fraction = sum(Fraction(1, factorial(k)) for k in range(46)) + Fraction(2, factorial(46))
+
+
+def _odd_order(d: int) -> int:
+    """The odd one of d and d + 1.
+
+    An alternating inclusion-exclusion sum cut after an odd number of
+    terms bounds from above, so the pivots truncate at this order.
+    """
+    return d if d % 2 == 1 else d + 1
+
+
+def _cert_gate(s: int, d: int) -> int:
+    """2 d^s (d+1)^s: the certificate statements need q above this."""
+    return 2 * d ** s * (d + 1) ** s
 
 
 def mu(m: int) -> Fraction:
@@ -154,9 +169,8 @@ def joint_strips_bound(q: int, s: int, d: int, k: int) -> BoundInterval:
     """Enclosure for the chance that k given well-spread strips all work."""
     if k < 2:
         raise UsageError("joint_strips_bound needs k >= 2")
-    sums_d = strip_sums(q, s, d)
     sums_d1 = strip_sums(q, s, d + 1)
-    pivot = sums_d.alt if d % 2 == 1 else sums_d1.alt
+    pivot = strip_sums(q, s, _odd_order(d)).alt
     center = pivot ** k
     radius = sums_d1.tail / 2 * (sums_d1.plus ** (k - 1) + (2 * k - 1) * pivot ** (k - 1))
     hyps = {"s<=d+1": s <= d + 1, "q^s>d": q ** s > d, "k>=2": True}
@@ -167,9 +181,8 @@ def success_at_strip_bound(q: int, s: int, d: int, h: int) -> BoundInterval:
     """Enclosure for "first h-1 well-spread strips fail, the h-th works"."""
     if h < 2:
         raise UsageError("success_at_strip_bound needs h >= 2")
-    sums_d = strip_sums(q, s, d)
     sums_d1 = strip_sums(q, s, d + 1)
-    pivot = sums_d.alt if d % 2 == 1 else sums_d1.alt
+    pivot = strip_sums(q, s, _odd_order(d)).alt
     center = pivot * (1 - pivot) ** (h - 1)
     radius = sums_d1.tail * ((1 + sums_d1.plus) ** (h - 1) + Fraction(1, 2))
     hyps = {"s<d": s < d}
@@ -188,7 +201,7 @@ def strip_index_series_bound(q: int, s: int, d: int, h: int) -> BoundInterval:
     """Factorial-series form of strip_index_bound (radius outward-rounded)."""
     if h < 2:
         raise UsageError("strip_index_series_bound needs h >= 2")
-    mu_par = mu(d) if d % 2 == 1 else mu(d + 1)
+    mu_par = mu(_odd_order(d))
     center = mu_par * (1 - mu_par) ** (h - 1)
     radius = (
         Fraction(1, factorial(d + 1)) * (E_UPPER ** (h - 1) + Fraction(1, 2))
@@ -202,7 +215,7 @@ def strip_index_series_bound(q: int, s: int, d: int, h: int) -> BoundInterval:
 def failure_bound(q: int, r: int, s: int, d: int) -> BoundInterval:
     """Enclosure for the chance that the whole default budget fails."""
     hstar = r - s + 1
-    mu_par = mu(d) if d % 2 == 1 else mu(d + 1)
+    mu_par = mu(_odd_order(d))
     center = (1 - mu_par) ** hstar
     radius = (
         E_UPPER ** hstar / factorial(d + 1)
@@ -218,9 +231,9 @@ def joint_cert_success_bound(q: int, s: int, d: int, h: int) -> BoundInterval:
     """Enclosure for "first hit at strip h AND that strip is certified"."""
     if h < 2:
         raise UsageError("joint_cert_success_bound needs h >= 2")
-    mu_par = mu(d) if d % 2 == 1 else mu(d + 1)
+    mu_par = mu(_odd_order(d))
     center = mu_par * (1 - mu_par) ** (h - 1)
-    gate = 2 * d ** s * (d + 1) ** s
+    gate = _cert_gate(s, d)
     radius = (
         (E_UPPER ** (h - 1) + Fraction(1, 2)) / factorial(d + 1)
         + Fraction(gate + 2, q)
@@ -260,11 +273,10 @@ class ExpectedStripsBound:
 
 def expected_strips_bound(q: int, r: int, s: int, d: int) -> ExpectedStripsBound:
     hstar = r - s + 1
-    mu_par = mu(d) if d % 2 == 1 else mu(d + 1)
+    mu_par = mu(_odd_order(d))
     value = 1 / mu_par + hstar * (1 - mu_par) ** hstar + 3 * hstar * E_UPPER ** hstar / factorial(d + 1)
     o_tail = Fraction(r * (d + 1) ** (2 * r), q)
-    gate = 2 * d ** s * (d + 1) ** s
-    hyps = {"q>2d^s(d+1)^s": q > gate, "d>s": d > s}
+    hyps = {"q>2d^s(d+1)^s": q > _cert_gate(s, d), "d>s": d > s}
     return ExpectedStripsBound(value, o_tail, hyps)
 
 
@@ -274,8 +286,7 @@ def cert_rate_lower_bound(q: int, s: int, d: int) -> Fraction:
     Vacuous (returns 0) whenever q <= 2 d^s (d+1)^s; hypothesis_report
     carries the flag.
     """
-    gate = 2 * d ** s * (d + 1) ** s
-    return max(Fraction(0), 1 - Fraction(gate, q))
+    return max(Fraction(0), 1 - Fraction(_cert_gate(s, d), q))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +413,12 @@ def complexity_formulas(d: int, s: int, q: int, r: int, omega: float) -> tuple[f
 
 def hypothesis_report(q: int, r: int, s: int, d: int, h: int | None = None) -> dict:
     """Named hypothesis flags shared by all the bound statements."""
-    gate = 2 * d ** s * (d + 1) ** s
     out = {
         "s<=d+1": s <= d + 1,
         "q^s>d": q ** s > d,
         "s<d": s < d,
         "q^s>6": q ** s > 6,
-        "q>2d^s(d+1)^s": q > gate,
+        "q>2d^s(d+1)^s": q > _cert_gate(s, d),
     }
     if h is not None:
         out["1<h<=r-s+1"] = 1 < h <= r - s + 1
@@ -417,6 +427,11 @@ def hypothesis_report(q: int, r: int, s: int, d: int, h: int | None = None) -> d
 
 def theory_report(q: int, r: int, s: int, d: int, hmax: int | None = None, omega: float = 3.0) -> dict:
     """Everything the formulas say about one parameter set, as one document."""
+    prime_power(q)  # UsageError unless q is a prime power
+    if not 1 < s < r:
+        raise UsageError(f"need 1 < s < r, got s={s}, r={r}")
+    if d < 2:
+        raise UsageError(f"degree bound must be >= 2, got {d}")
     hstar = r - s + 1
     hmax = hstar if hmax is None else hmax
     sums_d = strip_sums(q, s, d)

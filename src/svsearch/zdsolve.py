@@ -34,7 +34,6 @@ from .mpoly import (
 )
 
 GRID_LIMIT = 1 << 24
-NUMPY_PRIME_LIMIT = 1 << 25
 ZERO_CHUNK = 1 << 14  # grid cells searched for zeros at a time
 
 
@@ -183,9 +182,7 @@ def _grid_mask(query: ZeroDimQuery) -> np.ndarray:
 
 
 def _vector_path(ctx: FieldCtx) -> bool:
-    if ctx.k == 1:
-        return ctx.p <= NUMPY_PRIME_LIMIT
-    return ctx.q <= LOG_TABLE_LIMIT
+    return ctx.k == 1 or ctx.q <= LOG_TABLE_LIMIT
 
 
 def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:

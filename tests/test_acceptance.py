@@ -47,15 +47,22 @@ def _named(summary, name):
 
 
 def test_criterion_1_exhaustive_first_strip_probability():
+    # p1 does not depend on r, so r = s + 1 stands for every r
     t0 = time.monotonic()
-    value = exhaustive_p1(2, 3, 2, 2)
+    checks = []
+    for q, s, d in ((2, 2, 2), (3, 2, 2), (4, 2, 2), (2, 3, 2)):
+        value = exhaustive_p1(q, s + 1, s, d)
+        iv = first_strip_bounds(q, s, d)
+        ok = iv.hypotheses_ok and iv.lower <= value <= iv.upper
+        checks.append((q, s, d, value, iv, ok))
     elapsed = time.monotonic() - t0
-    iv = first_strip_bounds(2, 2, 2)
-    ok = iv.lower <= value <= iv.upper and elapsed < 60
+    detail = ", ".join(
+        f"q{q} s{s} d{d}: {value} in [{iv.lower}, {iv.upper}]" for q, s, d, value, iv, _ in checks
+    )
     _report(
         "1 exhaustive first-strip probability",
-        ok,
-        f"value={value} in [{iv.lower}, {iv.upper}], {elapsed:.2f}s",
+        all(ok for *_, ok in checks) and elapsed < 60,
+        f"{detail}, {elapsed:.2f}s",
     )
 
 

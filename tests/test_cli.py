@@ -195,6 +195,17 @@ def test_experiment_nonpositive_hstar_usage_error(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_experiment_nonpositive_workers_usage_error(capsys, tmp_path, workers):
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "experiment", "--q", "5", "--r", "3", "--s", "2", "--d", "2",
+        "--trials", "2", "--seed", "0", "--workers", workers, "--out", str(out_dir),
+    )
+    assert code == 2 and err.startswith("error:")
+    assert not out_dir.exists()
+
+
 def test_solve_capacity_exit_code(capsys, tmp_path):
     doc = {
         "q": 4099,
@@ -251,6 +262,20 @@ def test_theory_command(capsys):
     assert any(abs(v["float"] - 0.6321) < 1e-3 for v in rep["mu_table"].values())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "6", "--r", "3", "--s", "2", "--d", "2"],
+        ["--q", "5", "--r", "3", "--s", "2", "--d", "1"],
+        ["--q", "5", "--r", "2", "--s", "3", "--d", "2"],
+    ],
+    ids=["q_not_prime_power", "d_one", "s_above_r"],
+)
+def test_theory_bad_parameters_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "theory", *argv)
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
 def test_oracle_p1(capsys):
     code, out, _ = run_cli(capsys, "oracle", "p1-exhaustive", "--q", "2", "--r", "3", "--s", "2", "--d", "2")
     assert code == 0
@@ -260,8 +285,26 @@ def test_oracle_p1(capsys):
 
 
 def test_oracle_p1_capacity_exit(capsys):
-    code, _, err = run_cli(capsys, "oracle", "p1-exhaustive", "--q", "3", "--r", "4", "--s", "2", "--d", "2")
-    assert code == 3
+    code, out, _ = run_cli(capsys, "oracle", "p1-exhaustive", "--q", "3", "--r", "4", "--s", "2", "--d", "2")
+    assert code == 0 and json.loads(out)["p1"] == "347257/531441"
+    code, _, err = run_cli(capsys, "oracle", "p1-exhaustive", "--q", "5", "--r", "3", "--s", "2", "--d", "2")
+    assert code == 3 and err.startswith("capacity:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["p1-exhaustive", "--q", "2", "--r", "3", "--s", "0", "--d", "2"],
+        ["p1-exhaustive", "--q", "2", "--r", "3", "--s", "2", "--d", "0"],
+        ["p1-exhaustive", "--q", "2", "--r", "2", "--s", "2", "--d", "2"],
+        ["p1-exhaustive", "--q", "6", "--r", "3", "--s", "2", "--d", "2"],
+        ["sk-exhaustive", "--q", "2", "--r", "4", "--s", "2", "--d", "1", "--strips", "0,0;0,1;1,0;1,1"],
+    ],
+    ids=["s_zero", "d_zero", "s_equals_r", "q_not_prime_power", "too_many_strips"],
+)
+def test_oracle_bad_parameters_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, "oracle", *argv)
+    assert code == 2 and err.startswith("error:")
 
 
 def test_oracle_sk(capsys):

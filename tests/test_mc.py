@@ -1,18 +1,19 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from svsearch.errors import CapacityError, UsageError
-from svsearch.ffield import prime_field
+from svsearch.ffield import field_for_order, matrix_rank, prime_field
 from svsearch.mc import (
-    _strip_mask_counts,
-    _tuple_counts,
     estimate_with_ci,
     exhaustive_p1,
     exhaustive_sk,
     records_to_csv,
     run_experiment,
 )
+from svsearch.mpoly import monomial_row, monomials
+from svsearch.sampler import m_matrix
 from svsearch.theory import first_strip_bounds, joint_strips_bound
 
 F = Fraction
@@ -102,7 +103,113 @@ def test_csv_schema():
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracles
+# exact oracles, checked against a reference that enumerates every
+# coefficient vector of every polynomial (q^slots each)
+
+
+def _ref_strip_mask_counts(ctx, r, s, d, strip):
+    """For one strip: how many single polynomials have each zero pattern.
+
+    The pattern is a bitmask over the q^s grid points of the strip (bit i
+    set = the polynomial vanishes at grid point i, row-major order).
+    """
+    tables = [monomial_row(tuple(strip) + x, d, ctx) for x in itertools.product(ctx.elements(), repeat=s)]
+    counts = {}
+    for coeffs in itertools.product(ctx.elements(), repeat=len(monomials(r, d))):
+        mask = 0
+        for bit, row in enumerate(tables):
+            acc = 0
+            for c, mv in zip(coeffs, row):
+                if c and mv:
+                    acc = ctx.add(acc, ctx.mul(c, mv))
+            if acc == 0:
+                mask |= 1 << bit
+        counts[mask] = counts.get(mask, 0) + 1
+    return counts
+
+
+def _ref_tuple_counts(counts, s):
+    """Distribution of the AND of s independent zero patterns."""
+    acc = dict(counts)
+    for _ in range(s - 1):
+        new = {}
+        for m1, c1 in acc.items():
+            for m2, c2 in counts.items():
+                new[m1 & m2] = new.get(m1 & m2, 0) + c1 * c2
+        acc = new
+    return acc
+
+
+def _ref_p1(q, r, s, d):
+    """Fraction of (strip, system) pairs, over every strip, with a strip zero."""
+    ctx = field_for_order(q)
+    strips = list(itertools.product(ctx.elements(), repeat=r - s))
+    numer = 0
+    for strip in strips:
+        counts = _ref_strip_mask_counts(ctx, r, s, d, strip)
+        numer += sum(c for m, c in _ref_tuple_counts(counts, s).items() if m)
+    return F(numer, len(strips) * q ** (s * len(monomials(r, d))))
+
+
+def _ref_sk(q, r, s, d, strips):
+    """Fraction of systems with a zero in every given strip, and whether M is invertible."""
+    ctx = field_for_order(q)
+    tables = [
+        [monomial_row(tuple(a) + x, d, ctx) for x in itertools.product(ctx.elements(), repeat=s)]
+        for a in strips
+    ]
+    slots = len(monomials(r, d))
+    joint_counts = {}
+    for coeffs in itertools.product(ctx.elements(), repeat=slots):
+        key = []
+        for tab in tables:
+            mask = 0
+            for bit, row in enumerate(tab):
+                acc = 0
+                for c, mv in zip(coeffs, row):
+                    if c and mv:
+                        acc = ctx.add(acc, ctx.mul(c, mv))
+                if acc == 0:
+                    mask |= 1 << bit
+            key.append(mask)
+        key = tuple(key)
+        joint_counts[key] = joint_counts.get(key, 0) + 1
+    acc = dict(joint_counts)
+    for _ in range(s - 1):
+        new = {}
+        for k1, c1 in acc.items():
+            for k2, c2 in joint_counts.items():
+                key = tuple(a & b for a, b in zip(k1, k2))
+                new[key] = new.get(key, 0) + c1 * c2
+        acc = new
+    numer = sum(cnt for key, cnt in acc.items() if all(key))
+    invertible = matrix_rank(m_matrix([tuple(a) for a in strips]), ctx) == len(strips)
+    return F(numer, q ** (s * slots)), invertible
+
+
+@pytest.mark.parametrize("q,r,s,d", [(2, 3, 2, 2), (2, 4, 2, 1), (3, 3, 2, 1), (4, 3, 2, 1), (5, 3, 2, 1)])
+def test_exhaustive_p1_matches_reference(q, r, s, d):
+    # the reference averages over every strip, so this also checks that p1
+    # does not depend on the strip
+    assert exhaustive_p1(q, r, s, d) == _ref_p1(q, r, s, d)
+
+
+@pytest.mark.parametrize(
+    "q,r,s,d,strips",
+    [
+        (2, 3, 2, 2, [(0,)]),
+        (2, 3, 2, 2, [(0,), (1,)]),
+        (2, 4, 2, 1, [(0, 0), (0, 1)]),
+        (2, 4, 2, 1, [(0, 0), (0, 1), (1, 0)]),
+        (3, 3, 2, 1, [(0,), (1,)]),
+        (2, 5, 3, 1, [(0, 0), (1, 1), (0, 1)]),
+        (4, 3, 2, 1, [(0,), (1,)]),
+        (5, 3, 2, 1, [(0,), (3,)]),
+    ],
+    ids=lambda v: ";".join("".join(map(str, a)) for a in v) if isinstance(v, list) else None,
+)
+def test_exhaustive_sk_matches_reference(q, r, s, d, strips):
+    assert exhaustive_sk(q, r, s, d, strips) == _ref_sk(q, r, s, d, strips)
 
 
 def test_exhaustive_p1_reference_point():
@@ -112,22 +219,16 @@ def test_exhaustive_p1_reference_point():
     assert iv.lower <= value <= iv.upper
 
 
-def test_exhaustive_p1_capacity():
-    with pytest.raises(CapacityError):
-        exhaustive_p1(3, 4, 2, 2)
-
-
-def test_exhaustive_p1_strip_order_symmetry():
-    # same exact value no matter how the strips are enumerated (d = 1 keeps
-    # the pair count inside the enumeration cap at r - s = 2)
-    import itertools
-
-    strips = [tuple(x) for x in itertools.product(range(2), repeat=2)]
-    forward = exhaustive_p1(2, 4, 2, 1, strip_order=strips)
-    backward = exhaustive_p1(2, 4, 2, 1, strip_order=strips[::-1])
-    swapped = exhaustive_p1(2, 4, 2, 1, strip_order=[(b, a) for a, b in strips])
-    assert forward == backward == swapped
-    assert forward == exhaustive_p1(2, 4, 2, 1)
+def test_exhaustive_p1_capacity(monkeypatch):
+    assert exhaustive_p1(3, 4, 2, 2) == F(347257, 531441)
+    # rank 6 on a strip of GF(5)^2: 5^12 systems exceed the cap, and the
+    # refusal comes before any coefficient vector is enumerated
+    product = itertools.product
+    repeats = []
+    monkeypatch.setattr(itertools, "product", lambda *a, repeat=1: repeats.append(repeat) or product(*a, repeat=repeat))
+    with pytest.raises(CapacityError, match="rank >= 6"):
+        exhaustive_p1(5, 3, 2, 2)
+    assert repeats == [2]  # the strip's grid points only
 
 
 def test_zero_polynomial_bookkeeping():
@@ -135,12 +236,12 @@ def test_zero_polynomial_bookkeeping():
     # strip zero exactly when the other factor does: the zero polynomial's
     # pattern is the full grid, so intersections keep the partner's pattern
     ctx = prime_field(2)
-    counts = _strip_mask_counts(ctx, 3, 2, 2, (0,))
+    counts = _ref_strip_mask_counts(ctx, 3, 2, 2, (0,))
     full_mask = (1 << 4) - 1
     assert counts.get(full_mask, 0) >= 1  # the zero polynomial is in there
     singles_with_zero = sum(c for m, c in counts.items() if m)
     pairs_with_zero_factor = sum(
-        c for m, c in _tuple_counts(counts, 2).items() if m
+        c for m, c in _ref_tuple_counts(counts, 2).items() if m
     )
     # restrict the DP to pairs whose first factor is the zero polynomial
     combined = {}
@@ -156,8 +257,8 @@ def test_exhaustive_sk_examples():
     # k = 1 reduces to the per-strip marginal
     ctx = prime_field(2)
     value1, invertible1 = exhaustive_sk(2, 3, 2, 2, [(0,)])
-    counts = _strip_mask_counts(ctx, 3, 2, 2, (0,))
-    marginal = sum(c for m, c in _tuple_counts(counts, 2).items() if m)
+    counts = _ref_strip_mask_counts(ctx, 3, 2, 2, (0,))
+    marginal = sum(c for m, c in _ref_tuple_counts(counts, 2).items() if m)
     assert value1 == F(marginal, 2 ** 20)
     assert invertible1
 
@@ -180,6 +281,8 @@ def test_exhaustive_sk_validation():
         exhaustive_sk(2, 3, 2, 2, [(0,), (0,)])
     with pytest.raises(UsageError):
         exhaustive_sk(2, 3, 2, 2, [])
+    with pytest.raises(UsageError, match="must have 1 coordinates"):
+        exhaustive_sk(2, 3, 2, 2, [(0, 0)])
 
 
 def test_summary_all_passed_at_reference_parameters():
