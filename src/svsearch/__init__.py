@@ -2,9 +2,10 @@
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, FMatrix, extension_field, field_for_order, find_irreducible, matrix_rank, prime_field
-from .mpoly import MPoly, monomials, rational_roots, resultant_y, upoly_gcd, xq_mod
+from .mpoly import MPoly, monomials, rational_roots, resultant_y
 from .sampler import RngStream, Strip, SystemSpec, sample_strips, sample_system
 from .svs import SolveOutcome, run_svs, verify_solution
+from .upoly import upoly_gcd, xq_mod
 from .zdsolve import CertResult, ZeroDimQuery, cond_h_certificate, count_zeros, count_zeros_ext, distinct_geometric_points, find_zero
 
 __version__ = "0.1.0"

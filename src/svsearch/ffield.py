@@ -10,11 +10,14 @@ into numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import xor
 from typing import NamedTuple
 
 from .errors import CapacityError, DomainError, UsageError
+from .upoly import X_POLY, upoly_deg, upoly_gcd_unchecked, upoly_mod, upoly_mul, upoly_pow_mod, upoly_sub
 
 PRIME_LIMIT = 1 << 31  # products of two residues must fit in 64 bits
 IRREDUCIBLE_SCAN_LIMIT = 1 << 40
@@ -36,83 +39,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# dense univariate arithmetic over GF(p), used only for modulus handling
-# (general univariate machinery over any field lives in mpoly)
-
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - coef * mi) % p
-        _ptrim(a)
-    return a
-
-
-def _pmulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pmod(out, m, p)
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _xpow_qe_mod(m: list[int], p: int, e: int) -> list[int]:
-    """X^(p^e) mod m, by e rounds of X -> X^p (square-and-multiply each)."""
-    t = _pmod([0, 1], m, p)
-    for _ in range(e):
-        acc = [1]
-        base = t
-        n = p
-        while n:
-            if n & 1:
-                acc = _pmulmod(acc, base, m, p)
-            base = _pmulmod(base, base, m, p)
-            n >>= 1
-        t = acc
-    return t
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Complete test: no irreducible factor of degree <= deg(f)/2."""
-    k = len(f) - 1
+def _is_irreducible(f: tuple[int, ...], base: FieldCtx) -> bool:
+    """Complete test over the prime field `base`: no irreducible factor of
+    degree <= deg(f)/2, i.e. gcd(f, X^(p^i) - X) = 1 for i <= deg(f)/2."""
+    k = upoly_deg(f)
     if k < 1:
         return False
     if k == 1:
         return True
     if f[0] == 0:  # divisible by X
         return False
-    for i in range(1, k // 2 + 1):
-        xq = _xpow_qe_mod(f, p, i)
-        g = list(xq)
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p  # X^(p^i) - X
-        _ptrim(g)
-        if len(_pgcd(f, g, p)) - 1 != 0:
+    frob = X_POLY
+    for _ in range(k // 2):
+        frob = upoly_pow_mod(frob, base.p, f, base)  # X^(p^i) mod f
+        if upoly_deg(upoly_gcd_unchecked(f, upoly_sub(frob, X_POLY, base), base)) != 0:
             return False
     return True
 
@@ -130,17 +70,18 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
         raise UsageError("find_irreducible needs degree k >= 2")
     if p ** k > IRREDUCIBLE_SCAN_LIMIT:
         raise CapacityError(f"p^k = {p ** k} exceeds scan cap 2^40")
+    base = FieldCtx(p)
     for n in range(p ** k):
         tail = []
         m = n
         for _ in range(k):
             tail.append(m % p)
             m //= p
-        f = tail + [1]
+        f = tuple(tail) + (1,)
         if f[0] == 0:
             continue
-        if _is_irreducible(f, p):
-            return tuple(f)
+        if _is_irreducible(f, base):
+            return f
     raise DomainError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
@@ -160,12 +101,30 @@ class LogTables(NamedTuple):
     zech: list[int] | None
 
 
+class FieldOps(NamedTuple):
+    """Unchecked element operations of one field, built once per field.
+
+    Every kernel runs on these and validates nothing; the public FieldCtx
+    methods are `check` followed by the entry here.  axpy(dst, c, src) is
+    the row primitive [d + c*s for d, s in zip(dst, src)].
+    """
+
+    add: Callable[[int, int], int]
+    sub: Callable[[int, int], int]
+    mul: Callable[[int, int], int]
+    neg: Callable[[int], int]
+    inv: Callable[[int], int]  # of a nonzero element
+    pow: Callable[[int, int], int]  # a^e for e >= 0, with 0^0 = 1
+    axpy: Callable[[list[int], int, Sequence[int]], list[int]]
+
+
 @dataclass(frozen=True)
 class FieldCtx:
     """A finite field GF(p^k); all element operations live here.
 
     Elements are ints in [0, p^k) (see module docstring).  Instances are
-    immutable and safe to share between workers.
+    immutable and safe to share between workers: the tables cached on an
+    instance are left out of its pickled state and rebuilt on first use.
     """
 
     p: int
@@ -185,19 +144,26 @@ class FieldCtx:
             return
         if self.modulus is None:
             object.__setattr__(self, "modulus", find_irreducible(self.p, self.k))
-        mod = list(self.modulus)
+        mod = tuple(self.modulus)
         if len(mod) != self.k + 1 or mod[-1] != 1:
             raise UsageError("modulus must be monic of degree k")
         if any(not (0 <= c < self.p) for c in mod):
             raise UsageError("modulus coefficients must be reduced mod p")
-        if not _is_irreducible(mod, self.p):
+        if not _is_irreducible(mod, self._prime_field):
             raise UsageError("modulus is reducible")
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # -- basic structure ---------------------------------------------------
 
     @cached_property
     def q(self) -> int:
         return self.p ** self.k
+
+    @cached_property
+    def _prime_field(self) -> FieldCtx:
+        return FieldCtx(self.p)
 
     def elements(self) -> range:
         """All field elements in canonical ascending order."""
@@ -210,23 +176,22 @@ class FieldCtx:
             raise UsageError(f"{a!r} is not an element of GF({self.p}^{self.k})")
         return a
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-p digit vector (c0, ..., c_{k-1}) of an element."""
-        self.check(a)
+    def _digits(self, a: int) -> list[int]:
         out = []
         for _ in range(self.k):
             out.append(a % self.p)
             a //= self.p
-        return tuple(out)
+        return out
+
+    def coeffs(self, a: int) -> tuple[int, ...]:
+        """Base-p digit vector (c0, ..., c_{k-1}) of an element."""
+        return tuple(self._digits(self.check(a)))
 
     def from_coeffs(self, cs) -> int:
         cs = list(cs)
         if len(cs) != self.k or any(not (0 <= c < self.p) for c in cs):
             raise UsageError("coefficient vector does not match field")
-        v = 0
-        for c in reversed(cs):
-            v = v * self.p + c
-        return v
+        return self._encode(cs)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -257,45 +222,94 @@ class FieldCtx:
         zech = None if self.p == 2 else [log[self._add_raw(1, x)] for x in exp]
         return LogTables(exp + exp, log, zech)
 
-    def _add_raw(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
+    @cached_property
+    def ops(self) -> FieldOps:
+        """The op table: `% p` for prime fields, log/Zech lookups for
+        extension fields up to LOG_TABLE_LIMIT, digit arithmetic above it.
+        Addition is XOR whenever p = 2."""
+        p, q = self.p, self.q
+        if self.k == 1:
+            return FieldOps(
+                add=lambda a, b: (a + b) % p,
+                sub=lambda a, b: (a - b) % p,
+                mul=lambda a, b: a * b % p,
+                neg=lambda a: -a % p,
+                inv=lambda a: pow(a, -1, p),
+                pow=lambda a, e: pow(a, e, p),
+                axpy=lambda dst, c, src: [(d + c * s) % p for d, s in zip(dst, src)],
+            )
+        t = self.log_tables
+        if t is None:
+            add, sub, mul, pw = self._add_raw, self._sub_raw, self._mul_raw, self._pow_raw
+
+            def neg(a: int) -> int:
+                return self._sub_raw(0, a)
+
+            def inv(a: int) -> int:
+                return self._pow_raw(a, q - 2)
+
+        else:
+            exp, log, zech = t
+
+            def add(a: int, b: int) -> int:
+                if a == 0 or b == 0:
+                    return a or b
+                # g^la + g^lb = g^(la + zech[lb - la]); len(zech) = q-1, so a
+                # negative index wraps mod q-1
+                la = log[a]
+                z = zech[log[b] - la]
+                return 0 if z < 0 else exp[la + z]
+
+            def sub(a: int, b: int) -> int:
+                return add(a, neg(b))
+
+            def neg(a: int) -> int:
+                return exp[log[a] + (q - 1) // 2] if a else 0  # -1 = g^((q-1)/2)
+
+            def mul(a: int, b: int) -> int:
+                return exp[log[a] + log[b]] if a and b else 0
+
+            def inv(a: int) -> int:
+                return exp[q - 1 - log[a]]
+
+            def pw(a: int, e: int) -> int:
+                return exp[e * log[a] % (q - 1)] if a else int(e == 0)
+
+        if p == 2:
+            add = sub = xor
+
+            def neg(a: int) -> int:
+                return a
+
+        def axpy(dst: list[int], c: int, src: Sequence[int]) -> list[int]:
+            return [add(d, mul(c, s)) for d, s in zip(dst, src)]
+
+        return FieldOps(add, sub, mul, neg, inv, pw, axpy)
+
+    # digit arithmetic: elements as polynomials over GF(p)
+
+    def _encode(self, digits) -> int:
+        v = 0
+        for c in reversed(digits):
+            v = v * self.p + c
+        return v
+
+    def _add_raw(self, a: int, b: int, sign: int = 1) -> int:
+        """a + sign * b, digit by digit."""
+        p, out, mult = self.p, 0, 1
         for _ in range(self.k):
-            out += (a % p + b % p) % p * mult
+            out += (a % p + sign * (b % p)) % p * mult
             a //= p
             b //= p
             mult *= p
         return out
 
     def _sub_raw(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += (a % p - b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._add_raw(a, b, -1)
 
     def _mul_raw(self, a: int, b: int) -> int:
-        p = self.p
-        da = []
-        db = []
-        for _ in range(self.k):
-            da.append(a % p)
-            db.append(b % p)
-            a //= p
-            b //= p
-        prod = [0] * (2 * self.k - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        prod = _pmod(prod, list(self.modulus), p)
-        prod += [0] * (self.k - len(prod))
-        return self.from_coeffs(prod)
+        base = self._prime_field
+        return self._encode(upoly_mod(upoly_mul(self._digits(a), self._digits(b), base), self.modulus, base))
 
     def _pow_raw(self, a: int, e: int) -> int:
         result = 1
@@ -307,77 +321,28 @@ class FieldCtx:
         return result
 
     def add(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if self.k == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        t = self.log_tables
-        if t is None:
-            return self._add_raw(a, b)
-        if a == 0 or b == 0:
-            return a or b
-        # g^la + g^lb = g^(la + zech[lb - la]); len(zech) = q-1, so a
-        # negative index wraps mod q-1
-        la = t.log[a]
-        z = t.zech[t.log[b] - la]
-        return 0 if z < 0 else t.exp[la + z]
+        return self.ops.add(self.check(a), self.check(b))
 
     def sub(self, a: int, b: int) -> int:
-        if self.k == 1:
-            self.check(a)
-            self.check(b)
-            return (a - b) % self.p
-        return self.add(a, self.neg(b))
+        return self.ops.sub(self.check(a), self.check(b))
 
     def neg(self, a: int) -> int:
-        self.check(a)
-        if self.k == 1:
-            return -a % self.p
-        if self.p == 2 or a == 0:
-            return a
-        t = self.log_tables
-        if t is None:
-            return self._sub_raw(0, a)
-        return t.exp[t.log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
+        return self.ops.neg(self.check(a))
 
     def mul(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if self.k == 1:
-            return a * b % self.p
-        t = self.log_tables
-        if t is None:
-            return self._mul_raw(a, b)
-        if a == 0 or b == 0:
-            return 0
-        return t.exp[t.log[a] + t.log[b]]
+        return self.ops.mul(self.check(a), self.check(b))
 
     def inv(self, a: int) -> int:
-        self.check(a)
-        if a == 0:
+        if self.check(a) == 0:
             raise DomainError("zero has no inverse")
-        if self.k == 1:
-            return pow(a, -1, self.p)
-        t = self.log_tables
-        if t is None:
-            return self._pow_raw(a, self.q - 2)
-        return t.exp[self.q - 1 - t.log[a]]
+        return self.ops.inv(a)
 
     def pow(self, a: int, e: int) -> int:
         """a^e with 0^0 = 1 (zero exponents must yield the coefficient)."""
         self.check(a)
         if e < 0:
             raise UsageError("negative exponent; use inv")
-        if self.k == 1:
-            return pow(a, e, self.p)
-        t = self.log_tables
-        if t is not None:
-            if a == 0:
-                return 0 if e else 1
-            return t.exp[e * t.log[a] % (self.q - 1)]
-        return self._pow_raw(a, e)
+        return self.ops.pow(a, e)
 
     def __str__(self) -> str:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
@@ -448,6 +413,7 @@ class FMatrix:
 
 def matrix_rank(m: FMatrix, ctx: FieldCtx) -> int:
     """Rank over the field by Gaussian elimination; m is left untouched."""
+    ops = ctx.ops
     rows, cols = m.rows, m.cols
     a = [list(m.row(i)) for i in range(rows)]
     rank = 0
@@ -460,18 +426,12 @@ def matrix_rank(m: FMatrix, ctx: FieldCtx) -> int:
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        inv = ctx.inv(a[rank][col])
-        prow = a[rank]
-        if inv != 1:
-            for j in range(col, cols):
-                prow[j] = ctx.mul(prow[j], inv)
+        minus_inv = ops.neg(ops.inv(a[rank][col]))
+        tail = a[rank][col:]
         for i in range(rank + 1, rows):
             f = a[i][col]
             if f:
-                arow = a[i]
-                for j in range(col, cols):
-                    if prow[j]:
-                        arow[j] = ctx.sub(arow[j], ctx.mul(f, prow[j]))
+                a[i][col:] = ops.axpy(a[i][col:], ops.mul(f, minus_inv), tail)
         rank += 1
         if rank == rows:
             break

@@ -390,19 +390,22 @@ def _all_strips_hit(ctx: FieldCtx, s: int, d: int, strips: list[Strip]) -> Fract
         if matrix_rank(FMatrix(len(cand), len(rows), entries), ctx) == len(cand):
             basis = cand
             refuse_above(len(basis))
-    # bit i of a pattern: the polynomial vanishes at point i (strip by strip, row-major)
-    point_rows = list(zip(*basis))
+    # bit i of a pattern: the polynomial vanishes at point i (strip by strip,
+    # row-major).  The q^R vectors are the leaves of a product tree whose
+    # nodes carry the values of their coefficient prefix at every point.
+    axpy = ctx.ops.axpy
+    bits = [1 << i for i in range(len(rows))]
     counts: dict[int, int] = {}
-    for coeffs in itertools.product(ctx.elements(), repeat=len(basis)):
-        mask = 0
-        for bit, row in enumerate(point_rows):
-            acc = 0
-            for c, v in zip(coeffs, row):
-                if c and v:
-                    acc = ctx.add(acc, ctx.mul(c, v))
-            if acc == 0:
-                mask |= 1 << bit
-        counts[mask] = counts.get(mask, 0) + 1
+
+    def walk(values: list[int], depth: int) -> None:
+        if depth == len(basis):
+            mask = sum([bit for bit, v in zip(bits, values) if v == 0])
+            counts[mask] = counts.get(mask, 0) + 1
+            return
+        for c in ctx.elements():
+            walk(axpy(values, c, basis[depth]), depth + 1)
+
+    walk([0] * len(rows), 0)
     joint = counts  # common-zero patterns of the first j polynomials
     for _ in range(s - 1):
         new: dict[int, int] = {}
@@ -424,9 +427,12 @@ def exhaustive_p1(q: int, r: int, s: int, d: int) -> Fraction:
 
     Specializing the first r - s coordinates maps uniform polynomials onto
     uniform polynomials of degree <= d in s variables, whatever the strip,
-    so p1 depends on neither the strip nor r and one strip gives it.
+    so p1 depends on neither the strip nor r: it is computed at r = s + 1
+    on the strip (0,), whose monomial rows are as narrow as they get.
     """
-    return exhaustive_sk(q, r, s, d, [(0,) * (r - s)])[0]
+    if not 1 < s < r:
+        raise UsageError(f"need 1 < s < r, got s={s}, r={r}")
+    return exhaustive_sk(q, s + 1, s, d, [(0,)])[0]
 
 
 def exhaustive_sk(q: int, r: int, s: int, d: int, strips: list[Strip]) -> tuple[Fraction, bool]:

@@ -3,8 +3,8 @@
 Multivariate polynomials are kept in a canonical form (graded-lex
 descending term order, no zero coefficients, no duplicate exponent
 vectors) so that equality is structural and serialization is
-reproducible.  Univariate polynomials are plain tuples of coefficients,
-index = exponent, with no trailing zeros; () is the zero polynomial.
+reproducible.  Univariate polynomials (`upoly`) enter through root
+finding and the resultant in the first variable.
 """
 
 from __future__ import annotations
@@ -15,9 +15,25 @@ from functools import lru_cache
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, extension_field
+from .upoly import (
+    X_POLY,
+    UPoly,
+    check_coeffs,
+    lagrange_interpolate,
+    sylvester_determinant,
+    upoly_add,
+    upoly_deg,
+    upoly_divmod,
+    upoly_eval,
+    upoly_gcd_unchecked,
+    upoly_mod,
+    upoly_mul,
+    upoly_pow_mod,
+    upoly_sub,
+    upoly_trim,
+)
 
 ExpVec = tuple[int, ...]
-UPoly = tuple[int, ...]
 
 LIFT_TABLE_LIMIT = 1 << 16  # largest extension base whose element table lift_with_embedding builds
 
@@ -47,12 +63,15 @@ def monomials(nvars: int, maxdeg: int) -> tuple[ExpVec, ...]:
 
 def monomial_row(point: tuple[int, ...], maxdeg: int, ctx: FieldCtx) -> list[int]:
     """Values at point of every monomial of degree <= maxdeg, in `monomials` order."""
+    for x in point:
+        ctx.check(x)
+    mul, pw = ctx.ops.mul, ctx.ops.pow
     row = []
     for e in monomials(len(point), maxdeg):
         v = 1
         for x, k in zip(point, e):
             if k:
-                v = ctx.mul(v, ctx.pow(x, k))
+                v = mul(v, pw(x, k))
         row.append(v)
     return row
 
@@ -76,14 +95,14 @@ class MPoly:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise UsageError(f"bad exponent vector {exps} for {nvars} variables")
             ctx.check(c)
-            if exps in acc:
-                acc[exps] = ctx.add(acc[exps], c)
-            else:
-                acc[exps] = c
-        terms = tuple(
-            (e, c) for e, c in sorted(acc.items(), key=lambda t: term_sort_key(t[0]), reverse=True) if c != 0
-        )
-        return MPoly(nvars, terms)
+            acc[exps] = ctx.ops.add(acc[exps], c) if exps in acc else c
+        return MPoly._canonical(nvars, acc)
+
+    @staticmethod
+    def _canonical(nvars: int, acc: dict[ExpVec, int]) -> "MPoly":
+        """The polynomial with terms acc (valid field elements), in canonical form."""
+        ordered = sorted(acc.items(), key=lambda t: term_sort_key(t[0]), reverse=True)
+        return MPoly(nvars, tuple((e, c) for e, c in ordered if c != 0))
 
     @staticmethod
     def zero(nvars: int) -> "MPoly":
@@ -102,6 +121,7 @@ class MPoly:
             raise UsageError(f"point has {len(point)} coordinates, polynomial has {self.nvars}")
         for x in point:
             ctx.check(x)
+        ops = ctx.ops
         powers: dict[tuple[int, int], int] = {}
         total = 0
         for exps, c in self.terms:
@@ -112,10 +132,10 @@ class MPoly:
                 key = (var, e)
                 pw = powers.get(key)
                 if pw is None:
-                    pw = ctx.pow(point[var], e)
+                    pw = ops.pow(point[var], e)
                     powers[key] = pw
-                v = ctx.mul(v, pw)
-            total = ctx.add(total, v)
+                v = ops.mul(v, pw)
+            total = ops.add(total, v)
         return total
 
     def specialize(self, a, ctx: FieldCtx) -> "MPoly":
@@ -125,6 +145,7 @@ class MPoly:
             raise UsageError("specialize must leave at least one variable")
         for x in a:
             ctx.check(x)
+        add, mul = ctx.ops.add, ctx.ops.mul
         # power tables per substituted variable
         maxes = [0] * m
         for exps, _ in self.terms:
@@ -135,7 +156,7 @@ class MPoly:
         for j in range(m):
             tab = [1] * (maxes[j] + 1)
             for e in range(1, maxes[j] + 1):
-                tab[e] = ctx.mul(tab[e - 1], a[j])
+                tab[e] = mul(tab[e - 1], a[j])
             pows.append(tab)
         acc: dict[ExpVec, int] = {}
         for exps, c in self.terms:
@@ -143,15 +164,15 @@ class MPoly:
             for j in range(m):
                 e = exps[j]
                 if e:
-                    v = ctx.mul(v, pows[j][e])
+                    v = mul(v, pows[j][e])
                     if v == 0:
                         break
             if v == 0:
                 continue
             tail = exps[m:]
             prev = acc.get(tail)
-            acc[tail] = v if prev is None else ctx.add(prev, v)
-        return MPoly.from_terms(self.nvars - m, acc.items(), ctx)
+            acc[tail] = v if prev is None else add(prev, v)
+        return MPoly._canonical(self.nvars - m, acc)
 
     def coeffs_in_last_var(self, ctx: FieldCtx) -> list["MPoly"]:
         """For a 2-variable polynomial: coefficients of Y^j as UPoly in X.
@@ -193,144 +214,7 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# univariate toolkit
-
-
-def upoly_trim(coeffs) -> UPoly:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def upoly_deg(f: UPoly) -> int:
-    return len(f) - 1
-
-
-X_POLY: UPoly = (0, 1)
-
-
-def upoly_add(f: UPoly, g: UPoly, ctx: FieldCtx) -> UPoly:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = ctx.add(a, b)
-    return upoly_trim(out)
-
-
-def upoly_sub(f: UPoly, g: UPoly, ctx: FieldCtx) -> UPoly:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = ctx.sub(a, b)
-    return upoly_trim(out)
-
-
-def upoly_scale(f: UPoly, c: int, ctx: FieldCtx) -> UPoly:
-    if c == 0:
-        return ()
-    return upoly_trim([ctx.mul(a, c) for a in f])
-
-
-def upoly_mul(f: UPoly, g: UPoly, ctx: FieldCtx) -> UPoly:
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-    return upoly_trim(out)
-
-
-def upoly_divmod(f: UPoly, g: UPoly, ctx: FieldCtx) -> tuple[UPoly, UPoly]:
-    if not g:
-        raise DomainError("division by the zero polynomial")
-    rem = list(f)
-    dg = upoly_deg(g)
-    inv_lead = ctx.inv(g[-1])
-    quot = [0] * max(len(f) - dg, 0)
-    while len(rem) - 1 >= dg and rem:
-        coef = ctx.mul(rem[-1], inv_lead)
-        shift = len(rem) - 1 - dg
-        quot[shift] = coef
-        for i, gi in enumerate(g):
-            if gi:
-                rem[shift + i] = ctx.sub(rem[shift + i], ctx.mul(coef, gi))
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return upoly_trim(quot), upoly_trim(rem)
-
-
-def upoly_mod(f: UPoly, g: UPoly, ctx: FieldCtx) -> UPoly:
-    return upoly_divmod(f, g, ctx)[1]
-
-
-def upoly_monic(f: UPoly, ctx: FieldCtx) -> UPoly:
-    if not f:
-        return ()
-    if f[-1] == 1:
-        return f
-    return upoly_scale(f, ctx.inv(f[-1]), ctx)
-
-
-def upoly_gcd(f: UPoly, g: UPoly, ctx: FieldCtx) -> UPoly:
-    if not f and not g:
-        raise DomainError("gcd(0, 0) is undefined")
-    while g:
-        f, g = g, upoly_mod(f, g, ctx)
-    return upoly_monic(f, ctx)
-
-
-def upoly_eval(f: UPoly, x: int, ctx: FieldCtx) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
-def upoly_derivative(f: UPoly, ctx: FieldCtx) -> UPoly:
-    out = []
-    for i in range(1, len(f)):
-        out.append(ctx.mul(f[i], i % ctx.p))
-    return upoly_trim(out)
-
-
-def upoly_pow_mod(base: UPoly, e: int, mod: UPoly, ctx: FieldCtx) -> UPoly:
-    if upoly_deg(mod) < 1:
-        raise UsageError("modulus must have degree >= 1")
-    result: UPoly = (1,)
-    base = upoly_mod(base, mod, ctx)
-    while e:
-        if e & 1:
-            result = upoly_mod(upoly_mul(result, base, ctx), mod, ctx)
-        base = upoly_mod(upoly_mul(base, base, ctx), mod, ctx)
-        e >>= 1
-    return result
-
-
-def xq_mod(f: UPoly, ctx: FieldCtx) -> UPoly:
-    """X^q mod f by square-and-multiply."""
-    if upoly_deg(f) < 1:
-        raise UsageError("xq_mod needs deg f >= 1")
-    return upoly_pow_mod(X_POLY, ctx.q, f, ctx)
-
-
-def is_squarefree(f: UPoly, ctx: FieldCtx) -> bool:
-    """True iff gcd(f, f') is constant; f' = 0 counts as not squarefree."""
-    if not f:
-        raise DomainError("zero polynomial")
-    if upoly_deg(f) == 0:
-        return True
-    fp = upoly_derivative(f, ctx)
-    if not fp:
-        return False
-    return upoly_deg(upoly_gcd(f, fp, ctx)) == 0
+# univariate roots and resultants
 
 
 def rational_roots(f: UPoly, ctx: FieldCtx) -> set[int]:
@@ -341,11 +225,13 @@ def rational_roots(f: UPoly, ctx: FieldCtx) -> set[int]:
     deg g and log q, not with q.  The splitters come from a fixed
     sequence, so results are reproducible without an RNG.
     """
+    check_coeffs(ctx, f)
     if not f:
         raise DomainError("zero polynomial has every element as a root")
     roots: set[int] = set()
     if upoly_deg(f) >= 1:
-        g = upoly_gcd(f, upoly_sub(xq_mod(f, ctx), X_POLY, ctx), ctx)
+        xq = upoly_pow_mod(X_POLY, ctx.q, f, ctx)
+        g = upoly_gcd_unchecked(f, upoly_sub(xq, X_POLY, ctx), ctx)
         _split_linear_product(g, ctx, roots)
     return roots
 
@@ -380,77 +266,16 @@ def _split_linear_product(g: UPoly, ctx: FieldCtx, roots: set[int]) -> None:
         return
     if dg == 1:
         # c0 + c1 X = 0  ->  X = -c0/c1
-        roots.add(ctx.mul(ctx.neg(g[0]), ctx.inv(g[1])))
+        ops = ctx.ops
+        roots.add(ops.mul(ops.neg(g[0]), ops.inv(g[1])))
         return
     for w in _splitters(g, ctx):
-        h = upoly_gcd(g, w, ctx)
+        h = upoly_gcd_unchecked(g, w, ctx)
         if 0 < upoly_deg(h) < dg:
             _split_linear_product(h, ctx, roots)
             _split_linear_product(upoly_divmod(g, h, ctx)[0], ctx, roots)
             return
     raise AssertionError("no splitter separated the roots of a squarefree product")
-
-
-def lagrange_interpolate(xs: list[int], ys: list[int], ctx: FieldCtx) -> UPoly:
-    """Unique polynomial of degree < len(xs) through the given points."""
-    n = len(xs)
-    if n != len(ys) or n == 0:
-        raise UsageError("need equally many points and values")
-    if len(set(xs)) != n:
-        raise UsageError("interpolation points must be distinct")
-    # full = prod (X - xj)
-    full: UPoly = (1,)
-    for x in xs:
-        full = upoly_mul(full, (ctx.neg(x), 1), ctx)
-    acc: UPoly = ()
-    for i in range(n):
-        if ys[i] == 0:
-            continue
-        li, rem = upoly_divmod(full, (ctx.neg(xs[i]), 1), ctx)
-        if rem:
-            raise AssertionError(f"X - {xs[i]} does not divide the node polynomial")
-        denom = upoly_eval(li, xs[i], ctx)
-        acc = upoly_add(acc, upoly_scale(li, ctx.mul(ys[i], ctx.inv(denom)), ctx), ctx)
-    return acc
-
-
-def sylvester_determinant(f: UPoly, g: UPoly, ctx: FieldCtx) -> int:
-    """Resultant of two concrete univariate polynomials of degree >= 1."""
-    n, m = upoly_deg(f), upoly_deg(g)
-    if n < 1 or m < 1:
-        raise UsageError("sylvester_determinant needs positive degrees")
-    size = n + m
-    rows: list[list[int]] = []
-    frow = list(reversed(f))  # leading coefficient first
-    grow = list(reversed(g))
-    for i in range(m):
-        rows.append([0] * i + frow + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + grow + [0] * (size - m - 1 - i))
-    det = 1
-    for col in range(size):
-        pivot = None
-        for i in range(col, size):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = ctx.neg(det)
-        pv = rows[col][col]
-        det = ctx.mul(det, pv)
-        inv = ctx.inv(pv)
-        for i in range(col + 1, size):
-            fval = rows[i][col]
-            if fval:
-                factor = ctx.mul(fval, inv)
-                ri, rc = rows[i], rows[col]
-                for j in range(col, size):
-                    if rc[j]:
-                        ri[j] = ctx.sub(ri[j], ctx.mul(factor, rc[j]))
-    return det
 
 
 @lru_cache(maxsize=8)
@@ -473,14 +298,15 @@ def lift_with_embedding(ctx: FieldCtx, e: int):
     ext = extension_field(ctx.p, ctx.k * e)
     base_mod = upoly_trim(ctx.modulus)  # GF(p) coefficients embed unchanged
     theta = min(rational_roots(base_mod, ext))
+    add, mul = ext.ops.add, ext.ops.mul
     table: dict[int, int] = {}
     for a in ctx.elements():
         v = 0
         power = 1
         for c in ctx.coeffs(a):
             if c:
-                v = ext.add(v, ext.mul(c, power))
-            power = ext.mul(power, theta)
+                v = add(v, mul(c, power))
+            power = mul(power, theta)
         table[a] = v
     unembed = {v: k for k, v in table.items()}
     return (ext, table.__getitem__, unembed)

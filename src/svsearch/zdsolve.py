@@ -19,19 +19,8 @@ import numpy as np
 
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx
-from .mpoly import (
-    MPoly,
-    UPoly,
-    is_squarefree,
-    lift_with_embedding,
-    rational_roots,
-    resultant_y,
-    resultant_y_general,
-    upoly_deg,
-    upoly_eval,
-    upoly_gcd,
-    upoly_trim,
-)
+from .mpoly import MPoly, lift_with_embedding, rational_roots, resultant_y, resultant_y_general
+from .upoly import UPoly, is_squarefree, upoly_deg, upoly_eval, upoly_gcd, upoly_trim
 
 GRID_LIMIT = 1 << 24
 ZERO_CHUNK = 1 << 14  # grid cells searched for zeros at a time

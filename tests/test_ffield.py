@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,25 @@ def test_field_ops_reject_foreign_values():
         pass
 
     assert c5.check(Element(3)) == 3
+
+
+@pytest.mark.parametrize("q", [31, 256])
+def test_used_field_pickles_and_rebuilds_its_op_table(q):
+    # run_experiment pickles its field into every worker job, and the op
+    # table's entries are closures
+    ctx = field_for_order(q)
+    pairs = [(a, b) for a in range(0, q, 5) for b in range(1, q, 7)]
+
+    def results(field):
+        ops = [(field.add(a, b), field.sub(a, b), field.mul(a, b), field.neg(a), field.inv(b), field.pow(a, b)) for a, b in pairs]
+        return ops, field.ops.axpy([a for a, _ in pairs], 3, [b for _, b in pairs])
+
+    before = results(ctx)
+    assert "ops" in vars(ctx)
+    clone = pickle.loads(pickle.dumps(ctx))
+    assert clone == ctx and hash(clone) == hash(ctx)
+    assert "ops" not in vars(clone) and "log_tables" not in vars(clone)
+    assert results(clone) == before
 
 
 def test_coeffs_roundtrip():

@@ -1,10 +1,11 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
 from svsearch.errors import CapacityError, UsageError
-from svsearch.ffield import field_for_order, matrix_rank, prime_field
+from svsearch.ffield import FieldCtx, field_for_order, matrix_rank, prime_field
 from svsearch.mc import (
     estimate_with_ci,
     exhaustive_p1,
@@ -85,6 +86,18 @@ def test_certificate_rate_block():
     assert isinstance(block["passed"], bool)
     _, plain = run_experiment(13, 4, 2, 2, 10, seed=13)
     assert plain["certificates"] is None
+
+
+def test_trial_checks_field_elements_only_at_the_boundary(monkeypatch):
+    # elim's parameters: the resultant, root finding and the certificate
+    # run on the unchecked op table; sampled coefficients, points and
+    # polynomials handed to the exported root finder are checked
+    calls = []
+    check = FieldCtx.check
+    monkeypatch.setattr(FieldCtx, "check", lambda self, a: calls.append(a) or check(self, a))
+    records, _ = run_experiment(1009, 4, 2, 3, 1, seed=2206, backend="resultant", want_certificates=True)
+    assert records[0].status == "success" and records[0].certificate
+    assert 0 < len(calls) < 1000
 
 
 def test_csv_schema():
@@ -217,6 +230,11 @@ def test_exhaustive_p1_reference_point():
     assert value == F(175, 256)
     iv = first_strip_bounds(2, 2, 2)
     assert iv.lower <= value <= iv.upper
+    # over GF(2)^2 degree 2 already reaches every function, and p1 is
+    # computed on r = s + 1 whatever r is, so r = d = 10 is just as quick
+    start = time.perf_counter()
+    assert exhaustive_p1(2, 10, 2, 10) == value
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exhaustive_p1_capacity(monkeypatch):

@@ -2,14 +2,10 @@ import pytest
 
 from svsearch.errors import DomainError, UsageError
 from svsearch.ffield import field_for_order, prime_field
-from svsearch.mpoly import (
-    MPoly,
+from svsearch.mpoly import MPoly, monomials, rational_roots, resultant_y, resultant_y_general
+from svsearch.upoly import (
     is_squarefree,
     lagrange_interpolate,
-    monomials,
-    rational_roots,
-    resultant_y,
-    resultant_y_general,
     sylvester_determinant,
     upoly_deg,
     upoly_eval,
