@@ -145,6 +145,7 @@ class FieldCtx:
         if self.modulus is None:
             object.__setattr__(self, "modulus", find_irreducible(self.p, self.k))
         mod = tuple(self.modulus)
+        object.__setattr__(self, "modulus", mod)  # hashable, and equal however it was given
         if len(mod) != self.k + 1 or mod[-1] != 1:
             raise UsageError("modulus must be monic of degree k")
         if any(not (0 <= c < self.p) for c in mod):

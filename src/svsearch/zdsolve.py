@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx
-from .mpoly import MPoly, lift_with_embedding, rational_roots, resultant_y, resultant_y_general
+from .mpoly import MPoly, lift_with_embedding, monomials, rational_roots, resultant_y, resultant_y_general
 from .upoly import UPoly, is_squarefree, upoly_deg, upoly_eval, upoly_gcd, upoly_trim
 
 GRID_LIMIT = 1 << 24
@@ -65,134 +66,149 @@ class CertResult:
 # exhaustive backend
 
 
-def _grid_values_numpy(f: MPoly, p: int, s: int, maxdeg: int) -> np.ndarray:
-    """Values of f over the full grid as an int64 array of shape (p,) * s."""
-    xs = np.arange(p, dtype=np.int64)
-    pow_tab = np.empty((maxdeg + 1, p), dtype=np.int64)
-    pow_tab[0] = 1
-    for e in range(1, maxdeg + 1):
-        pow_tab[e] = pow_tab[e - 1] * xs % p
-    if s == 2:
-        cmat = np.zeros((maxdeg + 1, maxdeg + 1), dtype=np.int64)
-        for (e0, e1), c in f.terms:
-            cmat[e0, e1] = c
-        left = pow_tab.T @ cmat % p  # (p, maxdeg + 1)
-        return left @ pow_tab % p  # (p, p)
-    vals = np.zeros((p,) * s, dtype=np.int64)
-    for exps, c in f.terms:
-        term = None
-        for axis, e in enumerate(exps):
-            shape = [1] * s
-            shape[axis] = p
-            factor = pow_tab[e].reshape(shape)
-            term = factor if term is None else (term * factor % p)
-        vals += term * c % p
-        vals %= p
-    return vals
+def _check_float_exact(p: int, terms: int) -> None:
+    """Refuse float64 sums of `terms` products of residues mod p that could round.
 
-
-def _grid_values_log(f: MPoly, ctx: FieldCtx, s: int, maxdeg: int) -> np.ndarray:
-    """Grid values for an extension field, computed in the log domain.
-
-    Terms are grouped by their exponents in the first s-1 variables.  Each
-    group's univariate in the last variable is evaluated along one axis,
-    then the group's log over the grid is the broadcast sum of that line's
-    logs and e*log x on the other axes: one gather from exp per group.
-    Zero has the log `zero`, which lands every sum that contains it in the
-    zero-filled tail of exp.
+    Each product is at most (p-1)^2 and float64 holds every integer below
+    2^53 exactly, so such a sum is exact while terms * (p-1)^2 < 2^53.
     """
-    tabs = ctx.log_tables
-    order = ctx.q - 1
-    span = s + 1  # no sum below adds more than this many logs
-    zero = span * order  # above every sum of logs of nonzero elements
-    exp = np.zeros(span * zero + 1, dtype=np.int32)
-    exp[:zero] = np.tile(tabs.exp[:order], span)
-    log = np.array(tabs.log, dtype=np.int64)
-    log[0] = zero
-    log_pow = np.outer(np.arange(maxdeg + 1), log) % order  # log of x^e
-    log_pow[1:, 0] = zero
-    # add(a, b) returns a + b and may overwrite a
-    if ctx.p == 2:
-
-        def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return np.bitwise_xor(a, b, out=a)
-
-    else:
-        # zech[n] = log(1 + g^n) for every n in [0, 2*zero], so that
-        # zech[lb - la + zero] needs no reduction mod q - 1
-        zech = np.tile(np.array(tabs.zech, dtype=np.int64), 2 * span + 1)
-        zech[zech < 0] = zero
-
-        def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            la, diff = log[a], log[b]
-            diff += zero
-            diff -= la
-            total = exp[la + zech[diff]]
-            return np.where(a == 0, b, np.where(b == 0, a, total))
-
-    lines: dict[tuple[int, ...], np.ndarray] = {}
-    for exps, c in f.terms:
-        head = exps[:-1]
-        line = exp[log[c] + log_pow[exps[-1]]]
-        lines[head] = add(lines[head], line) if head in lines else line
-    vals = None
-    for head, line in lines.items():
-        idx = log[line].reshape((1,) * (s - 1) + (-1,))
-        for axis, e in enumerate(head):
-            if e:
-                shape = [1] * s
-                shape[axis] = -1
-                idx = idx + log_pow[e].reshape(shape)
-        group = exp[np.broadcast_to(idx, (ctx.q,) * s)]
-        vals = group if vals is None else add(vals, group)
-    return vals
+    if terms * (p - 1) ** 2 >= 1 << 53:
+        raise CapacityError(f"{terms} products of residues mod {p} exceed float64's exact 2^53")
 
 
-def _grid_mask(query: ZeroDimQuery) -> np.ndarray:
-    """Boolean grid of common zeros (vectorized paths)."""
-    ctx = query.ctx
-    q = ctx.q
-    maxdeg = max((f.degree for f in query.polys if not f.is_zero()), default=0)
-    maxdeg = max(maxdeg, 0)
-    mask = None
-    for f in query.polys:
-        if f.is_zero():
-            continue
-        if ctx.k == 1:
-            m = _grid_values_numpy(f, ctx.p, query.s, maxdeg) == 0
+class _GridEval:
+    """Values of polynomials of degree <= maxdeg on the grid GF(q)^s.
+
+    A cell is (prefix, x): prefix is its first s-1 coordinates, with
+    row-major index in [0, q^(s-1)), and the cell's flat index is
+    prefix*q + x.  Grouping terms by their head, the exponents of the
+    prefix, f = sum over heads h of prefix^h * line_h(x).  `head` holds
+    prefix^h at every prefix (q^(s-1) x H) and `lines(f)` every line_h at
+    every x (H x q).  Over GF(p) both are float64 residues, a slab is one
+    matmul whose sums are exact (see _check_float_exact), and v = 0 mod p
+    exactly when v/p is whole.  Over GF(p^k) both are logs, with
+    `zero_log` standing for log 0, and a value adds up the groups
+    exp[head + line].
+    """
+
+    def __init__(self, ctx: FieldCtx, s: int, maxdeg: int) -> None:
+        q = self.q = ctx.q
+        self.p, self.prime = ctx.p, ctx.k == 1
+        heads = monomials(s - 1, maxdeg) if s > 1 else ((),)
+        self.heads = {h: i for i, h in enumerate(heads)}
+        if self.prime:
+            _check_float_exact(ctx.p, len(heads))
+            xs = np.arange(q, dtype=np.int64)
+            self.tab = np.ones((maxdeg + 1, q), dtype=np.int64)  # x^e
+            for e in range(1, maxdeg + 1):
+                self.tab[e] = self.tab[e - 1] * xs % ctx.p
         else:
-            m = _grid_values_log(f, ctx, query.s, maxdeg) == 0
-        mask = m if mask is None else (mask & m)
-        if not mask.any():
-            break
-    if mask is None:
-        mask = np.ones((q,) * query.s, dtype=bool)
-    return mask
+            tabs = ctx.log_tables
+            order = q - 1
+            span = s + 1  # no sum below adds more than this many logs
+            zero = self.zero_log = span * order  # above every sum of logs of nonzero elements
+            self.exp = np.zeros(span * zero + 1, dtype=np.int32)
+            self.exp[:zero] = np.tile(tabs.exp[:order], span)
+            self.log = np.array(tabs.log, dtype=np.int64)
+            self.log[0] = zero
+            self.tab = np.outer(np.arange(maxdeg + 1), self.log) % order  # log of x^e
+            self.tab[1:, 0] = zero
+            if ctx.p != 2:
+                # zech[n] = log(1 + g^n) for every n in [0, 2*zero], so that
+                # zech[lb - la + zero] needs no reduction mod q - 1
+                self.zech = np.tile(np.array(tabs.zech, dtype=np.int64), 2 * span + 1)
+                self.zech[self.zech < 0] = zero
+        # prefix^h at every prefix, one coordinate at a time (H x q^axis)
+        exps = np.array(heads, dtype=np.int64).reshape(len(heads), s - 1)
+        head = np.full((len(heads), 1), int(self.prime), dtype=np.int64)  # 1, or its log 0
+        for axis in range(s - 1):
+            factor = self.tab[exps[:, axis]][:, None, :]
+            head = head[:, :, None] * factor % ctx.p if self.prime else head[:, :, None] + factor
+            head = head.reshape(len(heads), -1)
+        self.head = head.T.astype(np.float64) if self.prime else head.T
+
+    def _add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b over GF(p^k); may overwrite a."""
+        if self.p == 2:
+            return np.bitwise_xor(a, b, out=a)
+        la, diff = self.log[a], self.log[b]
+        diff += self.zero_log
+        diff -= la
+        total = self.exp[la + self.zech[diff]]
+        return np.where(a == 0, b, np.where(b == 0, a, total))
+
+    def lines(self, f: MPoly) -> np.ndarray:
+        """line_h(x) of f for every head h and every x, as an H x q array."""
+        if self.prime:
+            cmat = np.zeros((len(self.heads), len(self.tab)), dtype=np.int64)
+            for exps, c in f.terms:
+                cmat[self.heads[exps[:-1]], exps[-1]] = c
+            return (cmat @ self.tab % self.p).astype(np.float64)
+        vals = np.zeros((len(self.heads), self.q), dtype=np.int32)
+        for exps, c in f.terms:
+            h = self.heads[exps[:-1]]
+            vals[h] = self._add(vals[h], self.exp[self.log[c] + self.tab[exps[-1]]])
+        return self.log[vals]
+
+    def _log_sum(self, heads: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        vals = self.exp[heads[0] + lines[0]]
+        for h, line in zip(heads[1:], lines[1:]):
+            vals = self._add(vals, self.exp[h + line])
+        return vals
+
+    def slab(self, lines: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Values at the cells with prefix in [lo, hi), shape (hi - lo, q)."""
+        if self.prime:
+            return self.head[lo:hi] @ lines
+        return self._log_sum(self.head[lo:hi].T[:, :, None], lines[:, None, :])
+
+    def at(self, lines: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Values at the given flat cell indices."""
+        prefix, x = np.divmod(cells, self.q)
+        heads, lines = self.head[prefix].T, lines[:, x]
+        if self.prime:
+            return (heads * lines).sum(axis=0)
+        return self._log_sum(heads, lines)
+
+    def zero(self, vals: np.ndarray) -> np.ndarray:
+        """Mask of the values that are 0 in the field; may overwrite vals."""
+        if not self.prime:
+            return vals == 0
+        vals /= self.p
+        return vals == np.floor(vals)
 
 
-def _vector_path(ctx: FieldCtx) -> bool:
-    return ctx.k == 1 or ctx.q <= LOG_TABLE_LIMIT
+# every trial of an experiment scans grids of one field, s and degree
+_grid_eval = lru_cache(maxsize=1)(_GridEval)
 
 
 def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
-    """Common zeros in row-major grid order (first coordinate slowest)."""
+    """Common zeros in row-major grid order (first coordinate slowest).
+
+    The grid is walked in slabs of about ZERO_CHUNK cells, whole lines of
+    the last coordinate in prefix order.  The first polynomial is
+    evaluated on the slab, each later one only at the cells where all
+    before it vanish, and a slab's zeros are yielded before the next slab
+    is computed: a search stops at the first slab that holds one.
+    """
     ctx = query.ctx
-    if ctx.q ** query.s > GRID_LIMIT:
-        raise CapacityError(f"grid of {ctx.q ** query.s} points exceeds 2^24")
-    if _vector_path(ctx):
-        mask = _grid_mask(query).ravel()
-        shape = (ctx.q,) * query.s
-        # fixed chunks of cells: counting never holds every zero at once
-        for start in range(0, mask.size, ZERO_CHUNK):
-            flat = np.flatnonzero(mask[start : start + ZERO_CHUNK])
-            if flat.size:
-                coords = np.unravel_index(flat + start, shape)
-                yield from zip(*(axis.tolist() for axis in coords))
+    q, s = ctx.q, query.s
+    if q ** s > GRID_LIMIT:
+        raise CapacityError(f"grid of {q ** s} points exceeds 2^24")
+    polys = sorted(query.polys, key=MPoly.is_zero)  # a zero polynomial imposes nothing: last
+    if ctx.k > 1 and ctx.q > LOG_TABLE_LIMIT:
+        for point in itertools.product(ctx.elements(), repeat=s):
+            if all(f.evaluate(point, ctx) == 0 for f in polys):
+                yield point
         return
-    live = [f for f in query.polys if not f.is_zero()]
-    for point in itertools.product(ctx.elements(), repeat=query.s):
-        if all(f.evaluate(point, ctx) == 0 for f in live):
-            yield point
+    grid = _grid_eval(ctx, s, max(0, *(f.degree for f in polys)))
+    first, *rest = [grid.lines(f) for f in polys]
+    prefixes, step = q ** (s - 1), max(1, ZERO_CHUNK // q)
+    for lo in range(0, prefixes, step):
+        cells = lo * q + np.flatnonzero(grid.zero(grid.slab(first, lo, min(lo + step, prefixes))))
+        for lines in rest:
+            cells = cells[grid.zero(grid.at(lines, cells))]
+        yield from zip(*(axis.tolist() for axis in np.unravel_index(cells, (q,) * s)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from svsearch.ffield import (
     matrix_rank,
     prime_field,
 )
+from svsearch.mpoly import MPoly, lift_with_embedding, resultant_y
 from svsearch.sampler import RngStream
 
 
@@ -200,6 +201,17 @@ def test_modulus_validation():
     with pytest.raises(UsageError):
         extension_field(2, 2, (1, 1, 2))  # not reduced
     extension_field(2, 2, (1, 1, 1))
+
+
+def test_modulus_given_as_list_keeps_field_identity():
+    # lru_caches keyed on the field (resultant_y, lift_with_embedding) hash it
+    ctx = extension_field(2, 2, [1, 1, 1])
+    assert hash(ctx) == hash(extension_field(2, 2))
+    assert ctx == extension_field(2, 2) == field_for_order(4)
+    f = MPoly.from_terms(2, [((0, 1), 1), ((1, 0), 2)], ctx)  # Y + wX
+    g = MPoly.from_terms(2, [((0, 2), 1), ((0, 0), 3)], ctx)  # Y^2 + w^2
+    assert resultant_y(f, g, ctx) == resultant_y(f, g, field_for_order(4))
+    assert lift_with_embedding(ctx, 2)[0].q == 16
 
 
 def test_matrix_rank_examples():

@@ -15,7 +15,7 @@ from svsearch.sampler import RngStream
 from svsearch.zdsolve import (
     ZERO_CHUNK,
     ZeroDimQuery,
-    _grid_values_log,
+    _GridEval,
     _poly_as_upoly_in_x,
     _zeros,
     cond_h_certificate,
@@ -98,12 +98,14 @@ def test_log_grid_matches_evaluate_and_resultant(q):
     rng = RngStream(4242, q)
     for d in (1, 2, 3, 3):
         query = random_query(ctx, 2, d, rng)
+        grid = _GridEval(ctx, 2, d)
         for f in query.polys:
-            vals = _grid_values_log(f, ctx, 2, d)
+            lines = grid.lines(f)
             cells = [(0, 0), (0, q - 1), (q - 1, 0)]
             cells += [(rng.next_below(q), rng.next_below(q)) for _ in range(60)]
             for x, y in cells:
-                assert vals[x, y] == f.evaluate((x, y), ctx), (q, d, x, y)
+                # the one-row slab that holds the cell
+                assert grid.slab(lines, x, x + 1)[0, y] == f.evaluate((x, y), ctx), (q, d, x, y)
         # both return the smallest x, then the smallest y
         assert find_zero(query, "exhaustive") == find_zero(query, "resultant")
 
