@@ -48,8 +48,9 @@ def monomials(nvars: int, maxdeg: int) -> tuple[ExpVec, ...]:
     out: list[ExpVec] = []
 
     def rec_exact(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(tuple(prefix) + (remaining,))
+        if slots == 0:
+            if remaining == 0:
+                out.append(tuple(prefix))
             return
         for e in range(remaining, -1, -1):
             prefix.append(e)
@@ -61,19 +62,48 @@ def monomials(nvars: int, maxdeg: int) -> tuple[ExpVec, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _row_plan(nvars: int, maxdeg: int) -> tuple[tuple[int, int, int], ...]:
+    """(slot, parent slot, variable) for every nonconstant monomial of
+    `monomials(nvars, maxdeg)`, parents first.
+
+    The monomial in slot is the one in parent times the variable, so a
+    row of monomial values costs one multiplication per monomial.
+    """
+    exps = monomials(nvars, maxdeg)
+    index = {e: i for i, e in enumerate(exps)}
+    plan = []
+    for i in range(len(exps) - 2, -1, -1):  # ascending degree; the constant is last
+        e = exps[i]
+        var = next(j for j, k in enumerate(e) if k)
+        plan.append((i, index[e[:var] + (e[var] - 1,) + e[var + 1 :]], var))
+    return tuple(plan)
+
+
+def _row(point, maxdeg: int, mul) -> list[int]:
+    """monomial_row without the element checks."""
+    plan = _row_plan(len(point), maxdeg)
+    row = [1] * (len(plan) + 1)
+    for i, parent, var in plan:
+        row[i] = mul(row[parent], point[var])
+    return row
+
+
+@lru_cache(maxsize=None)
+def _split_plan(nvars: int, m: int, maxdeg: int) -> dict[ExpVec, tuple[int, int]]:
+    """(head slot, tail slot) of every exponent vector of degree <= maxdeg:
+    the slot of its first m exponents in `monomials(m, maxdeg)` and of the
+    rest in `monomials(nvars - m, maxdeg)`."""
+    heads = {e: i for i, e in enumerate(monomials(m, maxdeg))}
+    tails = {e: i for i, e in enumerate(monomials(nvars - m, maxdeg))}
+    return {e: (heads[e[:m]], tails[e[m:]]) for e in monomials(nvars, maxdeg)}
+
+
 def monomial_row(point: tuple[int, ...], maxdeg: int, ctx: FieldCtx) -> list[int]:
     """Values at point of every monomial of degree <= maxdeg, in `monomials` order."""
     for x in point:
         ctx.check(x)
-    mul, pw = ctx.ops.mul, ctx.ops.pow
-    row = []
-    for e in monomials(len(point), maxdeg):
-        v = 1
-        for x, k in zip(point, e):
-            if k:
-                v = mul(v, pw(x, k))
-        row.append(v)
-    return row
+    return _row(point, maxdeg, ctx.ops.mul)
 
 
 def term_sort_key(exps: ExpVec) -> tuple[int, ExpVec]:
@@ -96,11 +126,6 @@ class MPoly:
                 raise UsageError(f"bad exponent vector {exps} for {nvars} variables")
             ctx.check(c)
             acc[exps] = ctx.ops.add(acc[exps], c) if exps in acc else c
-        return MPoly._canonical(nvars, acc)
-
-    @staticmethod
-    def _canonical(nvars: int, acc: dict[ExpVec, int]) -> "MPoly":
-        """The polynomial with terms acc (valid field elements), in canonical form."""
         ordered = sorted(acc.items(), key=lambda t: term_sort_key(t[0]), reverse=True)
         return MPoly(nvars, tuple((e, c) for e, c in ordered if c != 0))
 
@@ -116,63 +141,34 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _substitute(self, a, ctx: FieldCtx) -> list[int]:
+        """Coefficients of self with its first len(a) variables set to a,
+        by slot of `monomials(nvars - len(a), max(degree, 0))`."""
+        for x in a:
+            ctx.check(x)
+        add, mul = ctx.ops.add, ctx.ops.mul
+        maxdeg = max(self.degree, 0)
+        split = _split_plan(self.nvars, len(a), maxdeg)
+        head = _row(a, maxdeg, mul)
+        acc = [0] * len(monomials(self.nvars - len(a), maxdeg))
+        for exps, c in self.terms:
+            h, t = split[exps]
+            acc[t] = add(acc[t], mul(c, head[h]))
+        return acc
+
     def evaluate(self, point, ctx: FieldCtx) -> int:
         if len(point) != self.nvars:
             raise UsageError(f"point has {len(point)} coordinates, polynomial has {self.nvars}")
-        for x in point:
-            ctx.check(x)
-        ops = ctx.ops
-        powers: dict[tuple[int, int], int] = {}
-        total = 0
-        for exps, c in self.terms:
-            v = c
-            for var, e in enumerate(exps):
-                if e == 0:
-                    continue
-                key = (var, e)
-                pw = powers.get(key)
-                if pw is None:
-                    pw = ops.pow(point[var], e)
-                    powers[key] = pw
-                v = ops.mul(v, pw)
-            total = ops.add(total, v)
-        return total
+        return self._substitute(point, ctx)[0]  # the one slot of monomials(0, d)
 
     def specialize(self, a, ctx: FieldCtx) -> "MPoly":
         """Substitute the first len(a) variables by the values in a."""
         m = len(a)
         if m >= self.nvars:
             raise UsageError("specialize must leave at least one variable")
-        for x in a:
-            ctx.check(x)
-        add, mul = ctx.ops.add, ctx.ops.mul
-        # power tables per substituted variable
-        maxes = [0] * m
-        for exps, _ in self.terms:
-            for j in range(m):
-                if exps[j] > maxes[j]:
-                    maxes[j] = exps[j]
-        pows = []
-        for j in range(m):
-            tab = [1] * (maxes[j] + 1)
-            for e in range(1, maxes[j] + 1):
-                tab[e] = mul(tab[e - 1], a[j])
-            pows.append(tab)
-        acc: dict[ExpVec, int] = {}
-        for exps, c in self.terms:
-            v = c
-            for j in range(m):
-                e = exps[j]
-                if e:
-                    v = mul(v, pows[j][e])
-                    if v == 0:
-                        break
-            if v == 0:
-                continue
-            tail = exps[m:]
-            prev = acc.get(tail)
-            acc[tail] = v if prev is None else add(prev, v)
-        return MPoly._canonical(self.nvars - m, acc)
+        tails = monomials(self.nvars - m, max(self.degree, 0))
+        # slot order is the canonical term order
+        return MPoly(self.nvars - m, tuple((e, c) for e, c in zip(tails, self._substitute(a, ctx)) if c))
 
     def coeffs_in_last_var(self, ctx: FieldCtx) -> list["MPoly"]:
         """For a 2-variable polynomial: coefficients of Y^j as UPoly in X.

@@ -112,7 +112,8 @@ def sample_system(
             coeffs = [rng.next_below(q) for _ in range(len(exps))]
             if allow_zero or any(coeffs):
                 break
-        polys.append(MPoly.from_terms(r, zip(exps, coeffs), ctx))
+        # slots are in canonical order and hold field elements: no from_terms
+        polys.append(MPoly(r, tuple((e, c) for e, c in zip(exps, coeffs) if c)))
     return SystemSpec(ctx, r, s, d, tuple(polys))
 
 

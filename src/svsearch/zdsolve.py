@@ -94,7 +94,7 @@ class _GridEval:
     def __init__(self, ctx: FieldCtx, s: int, maxdeg: int) -> None:
         q = self.q = ctx.q
         self.p, self.prime = ctx.p, ctx.k == 1
-        heads = monomials(s - 1, maxdeg) if s > 1 else ((),)
+        heads = monomials(s - 1, maxdeg)
         self.heads = {h: i for i, h in enumerate(heads)}
         if self.prime:
             _check_float_exact(ctx.p, len(heads))
@@ -215,17 +215,6 @@ def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
 # resultant backend (s = 2)
 
 
-def _poly_as_upoly_in_x(f: MPoly) -> UPoly:
-    """A bivariate polynomial that is constant in Y, as a UPoly in X."""
-    coeffs: dict[int, int] = {}
-    for (ex, ey), c in f.terms:
-        if ey != 0:
-            raise AssertionError(f"term X^{ex} Y^{ey} depends on Y")
-        coeffs[ex] = c
-    deg = max(coeffs, default=-1)
-    return upoly_trim([coeffs.get(i, 0) for i in range(deg + 1)])
-
-
 def _specialized_y_poly(fc: list[UPoly], x: int, ctx: FieldCtx) -> UPoly:
     return upoly_trim([upoly_eval(cj, x, ctx) for cj in fc])
 
@@ -255,10 +244,9 @@ def _resultant_candidates(
     """
     if len(live) < 2:
         return None
-    for f, fc in zip(live, coeff_lists):
+    for fc in coeff_lists:
         if len(fc) == 1:
-            fx = _poly_as_upoly_in_x(f)
-            return sorted(rational_roots(fx, ctx)) if upoly_deg(fx) >= 1 else []
+            return sorted(rational_roots(fc[0], ctx)) if upoly_deg(fc[0]) >= 1 else []
     f, g = live
     res = resultant_y(f, g, ctx)
     if not res:

@@ -1,8 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svsearch.errors import DomainError, UsageError
-from svsearch.ffield import field_for_order, prime_field
-from svsearch.mpoly import MPoly, monomials, rational_roots, resultant_y, resultant_y_general
+from svsearch.ffield import LOG_TABLE_LIMIT, field_for_order, prime_field
+from svsearch.mpoly import (
+    MPoly,
+    monomial_row,
+    monomials,
+    rational_roots,
+    resultant_y,
+    resultant_y_general,
+    term_sort_key,
+)
 from svsearch.upoly import (
     is_squarefree,
     lagrange_interpolate,
@@ -42,6 +52,17 @@ def test_monomials_count_and_order():
     assert degs == sorted(degs, reverse=True)
     for a, b in zip(exps, exps[1:]):
         assert (sum(a), a) > (sum(b), b)
+    # sampling and specialize build terms in this order without sorting
+    for r in range(1, 6):
+        for d in range(5):
+            assert monomials(r, d) == tuple(sorted(monomials(r, d), key=term_sort_key, reverse=True))
+
+
+def test_monomials_of_no_variables():
+    c5 = prime_field(5)
+    for d in range(4):
+        assert monomials(0, d) == ((),)
+        assert monomial_row((), d, c5) == [1]
 
 
 def test_canonical_form_merges_and_drops():
@@ -127,6 +148,80 @@ def test_specialize_composition_and_agreement():
         one_step = f.specialize(a + b, c7)
         assert two_step == one_step
         assert one_step.evaluate(x, c7) == f.evaluate(a + b + x, c7)
+
+
+def ref_evaluate(f, point, ctx):
+    """evaluate by a power cache per (variable, exponent)."""
+    powers = {}
+    total = 0
+    for exps, c in f.terms:
+        v = c
+        for var, e in enumerate(exps):
+            if e:
+                if (var, e) not in powers:
+                    powers[var, e] = ctx.pow(point[var], e)
+                v = ctx.mul(v, powers[var, e])
+        total = ctx.add(total, v)
+    return total
+
+
+def ref_specialize(f, a, ctx):
+    """specialize by accumulating tails in a dict, then sorting."""
+    m = len(a)
+    acc = {}
+    for exps, c in f.terms:
+        v = c
+        for x, e in zip(a, exps):
+            v = ctx.mul(v, ctx.pow(x, e))
+        tail = exps[m:]
+        acc[tail] = ctx.add(acc.get(tail, 0), v)
+    ordered = sorted(acc.items(), key=lambda t: term_sort_key(t[0]), reverse=True)
+    return MPoly(f.nvars - m, tuple((e, c) for e, c in ordered if c))
+
+
+# q = 2^17 is above LOG_TABLE_LIMIT: digit arithmetic, not log tables
+SLOT_FIELDS = {q: field_for_order(q) for q in (7, 8, 9, 1 << 17)}
+assert max(SLOT_FIELDS) > LOG_TABLE_LIMIT
+
+
+@st.composite
+def poly_and_point(draw):
+    """A sparse polynomial, possibly zero, and a point to substitute.
+
+    Some drawn terms come with their negation, so from_terms cancels them,
+    and one pair of terms may share a tail and cancel once the first
+    variables are substituted.
+    """
+    ctx = SLOT_FIELDS[draw(st.sampled_from(sorted(SLOT_FIELDS)))]
+    nvars = draw(st.integers(2, 4))
+    bound = draw(st.integers(0, 4))
+    elt = st.integers(0, ctx.q - 1)
+    point = tuple(draw(st.lists(elt, min_size=nvars, max_size=nvars)))
+    exps = monomials(nvars, bound)
+    items = draw(st.lists(st.tuples(st.sampled_from(exps), elt), max_size=12))
+    if items:
+        items += [(e, ctx.neg(c)) for e, c in draw(st.lists(st.sampled_from(items), max_size=3))]
+    m = draw(st.integers(1, nvars - 1))
+    e1 = draw(st.sampled_from(exps))
+    heads = [h for h in monomials(m, bound - sum(e1[m:])) if h != e1[:m]]
+    if heads:
+        # c1 a^h1 + c2 a^h2 = 0 for c2 = -c1 a^h1 / a^h2
+        h2 = draw(st.sampled_from(heads))
+        v1, v2 = (ref_evaluate(MPoly(m, ((h, 1),)), point[:m], ctx) for h in (e1[:m], h2))
+        if v2:
+            c1 = draw(elt)
+            c2 = ctx.neg(ctx.mul(ctx.mul(c1, v1), ctx.inv(v2)))
+            items += [(e1, c1), (h2 + e1[m:], c2)]
+    return ctx, MPoly.from_terms(nvars, items, ctx), point
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_and_point())
+def test_slot_plans_match_references(case):
+    ctx, f, point = case
+    assert f.evaluate(point, ctx) == ref_evaluate(f, point, ctx)
+    for m in range(1, f.nvars):
+        assert f.specialize(point[:m], ctx) == ref_specialize(f, point[:m], ctx)
 
 
 # ---------------------------------------------------------------------------

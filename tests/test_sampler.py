@@ -5,7 +5,7 @@ import pytest
 
 from svsearch.errors import DomainError, UsageError
 from svsearch.ffield import field_for_order, matrix_rank, prime_field
-from svsearch.mpoly import monomials
+from svsearch.mpoly import MPoly, monomials
 from svsearch.sampler import (
     RngStream,
     SystemSpec,
@@ -64,6 +64,23 @@ def test_sample_system_allow_zero_toggle():
     for trial in range(200):
         system = sample_system(ctx, 3, 2, 2, RngStream(77, trial), allow_zero=False)
         assert all(not f.is_zero() for f in system.polys)
+
+
+def test_sample_system_equals_from_terms_on_its_slots():
+    # sample_system skips from_terms; replaying its draws must give the
+    # same canonical polynomials
+    r, s, d = 3, 2, 2
+    exps = monomials(r, d)
+    for ctx in (prime_field(3), field_for_order(4)):
+        for allow_zero in (True, False):
+            for t in range(40):
+                system = sample_system(ctx, r, s, d, RngStream(9, t), allow_zero=allow_zero)
+                rng = RngStream(9, t)
+                for f in system.polys:
+                    coeffs = [rng.next_below(ctx.q) for _ in exps]
+                    while not (allow_zero or any(coeffs)):
+                        coeffs = [rng.next_below(ctx.q) for _ in exps]
+                    assert f == MPoly.from_terms(r, zip(exps, coeffs), ctx)
 
 
 def test_coefficient_uniformity_five_sigma():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import svsearch
+from svsearch import zdsolve
 from svsearch.errors import CapacityError, UsageError
 from svsearch.ffield import field_for_order, prime_field
 from svsearch.mpoly import MPoly, monomials, resultant_y
@@ -16,7 +17,6 @@ from svsearch.zdsolve import (
     ZERO_CHUNK,
     ZeroDimQuery,
     _GridEval,
-    _poly_as_upoly_in_x,
     _zeros,
     cond_h_certificate,
     count_zeros,
@@ -110,18 +110,22 @@ def test_log_grid_matches_evaluate_and_resultant(q):
         assert find_zero(query, "exhaustive") == find_zero(query, "resultant")
 
 
-def test_soundness_check_survives_optimize_flag():
-    # assert statements vanish under -O; this invariant check must not
+def test_soundness_check_survives_optimize_flag(monkeypatch):
+    # assert statements vanish under -O; find_zero's re-check of the
+    # point a backend hands back must not
     code = textwrap.dedent(
         """
         import sys
+        from svsearch import zdsolve
         from svsearch.ffield import prime_field
         from svsearch.mpoly import MPoly
-        from svsearch.zdsolve import _poly_as_upoly_in_x
         if not sys.flags.optimize:
             sys.exit(2)
+        zdsolve._ENUMERATORS["exhaustive"] = lambda query: iter([(0, 0)])
+        c5 = prime_field(5)
+        one = MPoly.from_terms(2, [((0, 0), 1)], c5)
         try:
-            _poly_as_upoly_in_x(MPoly.from_terms(2, [((1, 1), 1)], prime_field(5)))
+            zdsolve.find_zero(zdsolve.ZeroDimQuery(c5, 2, (one, one), 0))
         except AssertionError:
             sys.exit(0)
         sys.exit(1)
@@ -132,8 +136,10 @@ def test_soundness_check_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
     assert proc.returncode == 0
     c5 = prime_field(5)
+    monkeypatch.setitem(zdsolve._ENUMERATORS, "exhaustive", lambda query: iter([(0, 0)]))
+    one = P(2, [((0, 0), 1)], c5)
     with pytest.raises(AssertionError):
-        _poly_as_upoly_in_x(P(2, [((0, 1), 1)], c5))
+        find_zero(ZeroDimQuery(c5, 2, (one, one), 0))
 
 
 def test_capacity_errors():
