@@ -17,7 +17,7 @@ from operator import xor
 from typing import NamedTuple
 
 from .errors import CapacityError, DomainError, UsageError
-from .upoly import X_POLY, upoly_deg, upoly_gcd_unchecked, upoly_mod, upoly_mul, upoly_pow_mod, upoly_sub
+from .upoly import X_POLY, PackedModulus, upoly_deg, upoly_gcd_unchecked, upoly_pow_mod, upoly_sub
 
 PRIME_LIMIT = 1 << 31  # products of two residues must fit in 64 bits
 IRREDUCIBLE_SCAN_LIMIT = 1 << 40
@@ -178,10 +178,10 @@ class FieldCtx:
         return a
 
     def _digits(self, a: int) -> list[int]:
-        out = []
+        p, out = self.p, []
         for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
+            a, c = divmod(a, p)
+            out.append(c)
         return out
 
     def coeffs(self, a: int) -> tuple[int, ...]:
@@ -214,9 +214,11 @@ class FieldCtx:
         g = next(
             g for g in range(2, q) if all(self._pow_raw(g, order // r) != 1 for r in primes)
         )
-        exp = [1]
+        pm = self._packed_modulus  # walk the powers of g packed: one pm.mul a step
+        gen, power, exp = pm.pack(self._digits(g)), 1, [1]
         for _ in range(order - 1):
-            exp.append(self._mul_raw(g, exp[-1]))
+            power = pm.mul(power, gen)
+            exp.append(self._encode(pm.coeffs(power)))
         log = [-1] * q
         for n, x in enumerate(exp):
             log[x] = n
@@ -308,18 +310,16 @@ class FieldCtx:
     def _sub_raw(self, a: int, b: int) -> int:
         return self._add_raw(a, b, -1)
 
+    @cached_property
+    def _packed_modulus(self) -> PackedModulus:
+        return PackedModulus(self.modulus, self.p)
+
     def _mul_raw(self, a: int, b: int) -> int:
-        base = self._prime_field
-        return self._encode(upoly_mod(upoly_mul(self._digits(a), self._digits(b), base), self.modulus, base))
+        pm = self._packed_modulus
+        return self._encode(pm.coeffs(pm.mul(pm.pack(self._digits(a)), pm.pack(self._digits(b)))))
 
     def _pow_raw(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_raw(a, result)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return result
+        return self._encode(self._packed_modulus.pow(self._digits(a), e))
 
     def add(self, a: int, b: int) -> int:
         return self.ops.add(self.check(a), self.check(b))

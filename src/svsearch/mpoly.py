@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, extension_field
@@ -20,7 +20,6 @@ from .upoly import (
     UPoly,
     check_coeffs,
     lagrange_interpolate,
-    sylvester_determinant,
     upoly_add,
     upoly_deg,
     upoly_divmod,
@@ -29,6 +28,7 @@ from .upoly import (
     upoly_mod,
     upoly_mul,
     upoly_pow_mod,
+    upoly_resultant,
     upoly_sub,
     upoly_trim,
 )
@@ -170,10 +170,14 @@ class MPoly:
         # slot order is the canonical term order
         return MPoly(self.nvars - m, tuple((e, c) for e, c in zip(tails, self._substitute(a, ctx)) if c))
 
-    def coeffs_in_last_var(self, ctx: FieldCtx) -> list["MPoly"]:
-        """For a 2-variable polynomial: coefficients of Y^j as UPoly in X.
+    @cached_property
+    def coeffs_in_last_var(self) -> tuple[UPoly, ...]:
+        """For a 2-variable polynomial: the coefficient of each power Y^j
+        as a univariate polynomial in X, indexed by j.
 
-        Returned as a list of univariate tuples indexed by the Y exponent.
+        Computed once per polynomial, since the certificate, the resultant
+        and the resultant backend all read it on a strip.  It is kept in
+        the instance dict, not in a field, so == and hash ignore it.
         """
         if self.nvars != 2:
             raise UsageError("coeffs_in_last_var expects a bivariate polynomial")
@@ -181,11 +185,7 @@ class MPoly:
         cols: list[dict[int, int]] = [dict() for _ in range(degy + 1)]
         for (ex, ey), c in self.terms:
             cols[ey][ex] = c
-        out = []
-        for col in cols:
-            degx = max(col, default=-1)
-            out.append(upoly_trim([col.get(i, 0) for i in range(degx + 1)]))
-        return out
+        return tuple(upoly_trim([col.get(i, 0) for i in range(max(col, default=-1) + 1)]) for col in cols)
 
     def term_strings(self) -> list[str]:
         """Canonical textual form: one "c e1 e2 ... er" string per term."""
@@ -319,7 +319,8 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
 
     Computed by evaluation-interpolation: specialize the first variable at
     sample points where neither leading Y-coefficient vanishes, take the
-    Sylvester determinant of the two univariate images, and interpolate.
+    resultant of the two univariate images by Euclidean remainders
+    (`upoly_resultant`), and interpolate.
     The sample points are drawn from the base field, or from an extension
     when the base field is too small; the interpolated coefficients are
     then mapped back (they must lie in the base field).
@@ -328,8 +329,8 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
         raise UsageError("resultant_y expects bivariate polynomials")
     if f.is_zero() or g.is_zero():
         raise UsageError("resultant_y expects nonzero polynomials")
-    fc = f.coeffs_in_last_var(ctx)
-    gc = g.coeffs_in_last_var(ctx)
+    fc = f.coeffs_in_last_var
+    gc = g.coeffs_in_last_var
     n, m = len(fc) - 1, len(gc) - 1
     if n < 1 or m < 1:
         raise UsageError("both polynomials must have positive degree in Y")
@@ -355,7 +356,7 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
         fv = upoly_trim([upoly_eval(cj, x, work) for cj in fc])
         gv = upoly_trim([upoly_eval(cj, x, work) for cj in gc])
         xs.append(x)
-        ys.append(sylvester_determinant(fv, gv, work))
+        ys.append(upoly_resultant(fv, gv, work))
         if len(xs) == bound + 1:
             break
     if len(xs) < bound + 1:
@@ -379,8 +380,8 @@ def resultant_y_general(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly | None:
     constant in Y (no meaningful eliminant)."""
     if f.is_zero() or g.is_zero():
         return ()
-    fc = f.coeffs_in_last_var(ctx)
-    gc = g.coeffs_in_last_var(ctx)
+    fc = f.coeffs_in_last_var
+    gc = g.coeffs_in_last_var
     n, m = len(fc) - 1, len(gc) - 1
     if n >= 1 and m >= 1:
         return resultant_y(f, g, ctx)

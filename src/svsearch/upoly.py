@@ -3,9 +3,11 @@
 A polynomial is a tuple of coefficients, index = exponent, with no
 trailing zeros; () is the zero polynomial.  Every kernel here runs on the
 field's unchecked op table (`FieldCtx.ops`) and validates nothing, so one
-copy serves GF(p) modulus handling in `ffield` and all of `mpoly`.  The
-entry points that take outside polynomials (`upoly_gcd`, `xq_mod` and
-`mpoly.rational_roots`) check every coefficient once, on entry.
+copy serves all of `mpoly`.  Powers modulo a polynomial over GF(p), and
+the extension-field modulus arithmetic in `ffield`, run on packed ints
+(`PackedModulus`).  The entry points that take outside polynomials
+(`upoly_gcd`, `xq_mod` and `mpoly.rational_roots`) check every
+coefficient once, on entry.
 """
 
 from __future__ import annotations
@@ -112,11 +114,70 @@ def upoly_eval(f: UPoly, x: int, ctx: FieldCtx) -> int:
     return acc
 
 
+class PackedModulus:
+    """Arithmetic mod `mod` over GF(p) on Kronecker-packed ints (von zur
+    Gathen & Gerhard, *Modern Computer Algebra*, §8.4): w-bit slot i holds
+    the coefficient of X^i, and a product is one big-int multiplication.
+
+    Slot bound: 2^w > 2*n*p^2, n = deg mod.  `reduce` takes slots below
+    n*p^2 (a product of two reduced polynomials, or coefficients below p)
+    and clears slot i >= n, top down, by adding (p - c)*monic(mod) shifted
+    down n slots, c = slot i mod p.  A slot gains at most n such terms of
+    at most (p-1)^2, plus p when cleared, so it stays below 2*n*p^2 < 2^w
+    and no carry crosses slots.  The n low slots, each mod p, are the
+    remainder.
+    """
+
+    def __init__(self, mod: UPoly, p: int):
+        self.p, self.n = p, upoly_deg(mod)
+        self.w = (2 * self.n * p * p).bit_length()
+        self.slot = (1 << self.w) - 1
+        inv = pow(mod[-1], -1, p)
+        self.monic = self.pack([c * inv % p for c in mod[:-1]] + [1])
+
+    def pack(self, f) -> int:
+        return sum(c << self.w * i for i, c in enumerate(f))
+
+    def coeffs(self, a: int) -> list[int]:
+        """The n low slots of a reduced int, X^0 first."""
+        return [a >> self.w * i & self.slot for i in range(self.n)]
+
+    def reduce(self, acc: int, top: int) -> int:
+        """acc mod `mod`, packed, for acc with no nonzero slot above `top`."""
+        p, n, w, slot, monic = self.p, self.n, self.w, self.slot, self.monic
+        for i in range(top, n - 1, -1):
+            c = (acc >> w * i & slot) % p
+            if c:
+                acc += (p - c) * monic << w * (i - n)
+        out = 0
+        for i in range(n - 1, -1, -1):
+            out = out << w | (acc >> w * i & slot) % p
+        return out
+
+    def mul(self, a: int, b: int) -> int:
+        """a*b mod `mod` for reduced packed a and b."""
+        return self.reduce(a * b, self.n - 1 + (b.bit_length() - 1) // self.w)  # n - 1 + deg b
+
+    def pow(self, base: UPoly, e: int) -> UPoly:
+        """base^e mod `mod`, left to right."""
+        b = self.reduce(self.pack(base), len(base) - 1)
+        r = 1
+        for i in range(e.bit_length() - 1, -1, -1):
+            r = self.mul(r, r)
+            if e >> i & 1:
+                r = self.mul(r, b)
+        return upoly_trim(self.coeffs(r))
+
+
 def upoly_pow_mod(base: UPoly, e: int, mod: UPoly, ctx: FieldCtx) -> UPoly:
-    """base^e mod `mod`, left to right: a set bit of e is one multiplication
-    by base, which for base = X is a shift plus one axpy."""
+    """base^e mod `mod`, left to right.  Over GF(p) on packed ints; over
+    GF(p^k), whose elements are log-table codes rather than residues, a
+    set bit of e is one multiplication by base, which for base = X is a
+    shift plus one axpy."""
     if upoly_deg(mod) < 1:
         raise UsageError("modulus must have degree >= 1")
+    if ctx.k == 1:
+        return PackedModulus(mod, ctx.p).pow(base, e)
     base = upoly_mod(base, mod, ctx)
     result: UPoly = (1,)
     for i in range(e.bit_length() - 1, -1, -1):
@@ -172,38 +233,23 @@ def lagrange_interpolate(xs: list[int], ys: list[int], ctx: FieldCtx) -> UPoly:
     return upoly_trim(acc)
 
 
-def sylvester_determinant(f: UPoly, g: UPoly, ctx: FieldCtx) -> int:
-    """Resultant of two concrete univariate polynomials of degree >= 1."""
+def upoly_resultant(f: UPoly, g: UPoly, ctx: FieldCtx) -> int:
+    """Res(f, g) of two polynomials of degree >= 1, by Euclidean remainders
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, §6.3-6.4):
+    Res(f, g) = (-1)^(nm) * lc(g)^(n - deg r) * Res(g, r) with r = f mod g,
+    n = deg f and m = deg g, down to Res(f, c) = c^deg f for a constant c,
+    and 0 once a remainder vanishes."""
     n, m = upoly_deg(f), upoly_deg(g)
     if n < 1 or m < 1:
-        raise UsageError("sylvester_determinant needs positive degrees")
+        raise UsageError("upoly_resultant needs positive degrees")
     ops = ctx.ops
-    size = n + m
-    rows: list[list[int]] = []
-    frow = list(reversed(f))  # leading coefficient first
-    grow = list(reversed(g))
-    for i in range(m):
-        rows.append([0] * i + frow + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + grow + [0] * (size - m - 1 - i))
-    det = 1
-    for col in range(size):
-        pivot = None
-        for i in range(col, size):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
+    acc = 1
+    while m > 0:
+        r = upoly_mod(f, g, ctx)
+        if not r:
             return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = ops.neg(det)
-        pv = rows[col][col]
-        det = ops.mul(det, pv)
-        minus_inv = ops.neg(ops.inv(pv))
-        tail = rows[col][col:]
-        for i in range(col + 1, size):
-            fval = rows[i][col]
-            if fval:
-                rows[i][col:] = ops.axpy(rows[i][col:], ops.mul(fval, minus_inv), tail)
-    return det
+        if n & m & 1:
+            acc = ops.neg(acc)
+        acc = ops.mul(acc, ops.pow(g[-1], n - upoly_deg(r)))
+        f, g, n, m = g, r, m, upoly_deg(r)
+    return ops.mul(acc, ops.pow(g[0], n))

@@ -215,7 +215,7 @@ def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
 # resultant backend (s = 2)
 
 
-def _specialized_y_poly(fc: list[UPoly], x: int, ctx: FieldCtx) -> UPoly:
+def _specialized_y_poly(fc: tuple[UPoly, ...], x: int, ctx: FieldCtx) -> UPoly:
     return upoly_trim([upoly_eval(cj, x, ctx) for cj in fc])
 
 
@@ -230,9 +230,7 @@ def _common_y_roots(fx: UPoly, gx: UPoly, ctx: FieldCtx) -> list[int]:
     return sorted(rational_roots(g, ctx)) if upoly_deg(g) >= 1 else []
 
 
-def _resultant_candidates(
-    live: list[MPoly], coeff_lists: list[list[UPoly]], ctx: FieldCtx
-) -> list[int] | None:
+def _resultant_candidates(live: list[MPoly], ctx: FieldCtx) -> list[int] | None:
     """Candidate first coordinates for common zeros, or None for "all".
 
     A rational common zero (x, y) must have x among the rational roots of
@@ -244,7 +242,8 @@ def _resultant_candidates(
     """
     if len(live) < 2:
         return None
-    for fc in coeff_lists:
+    for f in live:
+        fc = f.coeffs_in_last_var
         if len(fc) == 1:
             return sorted(rational_roots(fc[0], ctx)) if upoly_deg(fc[0]) >= 1 else []
     f, g = live
@@ -260,10 +259,9 @@ def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
         raise CapacityError("resultant backend supports s = 2 only")
     ctx = query.ctx
     live = [f for f in query.polys if not f.is_zero()]
-    coeff_lists = [f.coeffs_in_last_var(ctx) for f in live]
-    cands = _resultant_candidates(live, coeff_lists, ctx)
+    cands = _resultant_candidates(live, ctx)
     # a zero polynomial imposes nothing: it specializes to ()
-    fc, gc = coeff_lists + [[]] * (2 - len(live))
+    fc, gc = [f.coeffs_in_last_var for f in live] + [()] * (2 - len(live))
     for x in ctx.elements() if cands is None else cands:
         fx = _specialized_y_poly(fc, x, ctx)
         gx = _specialized_y_poly(gc, x, ctx)
@@ -333,8 +331,8 @@ def cond_h_certificate(query: ZeroDimQuery) -> CertResult:
         return CertResult("not_certified", -1, False)
     deg = upoly_deg(res)
     sqfree = is_squarefree(res, ctx) if res else False
-    fc = f.coeffs_in_last_var(ctx)
-    gc = g.coeffs_in_last_var(ctx)
+    fc = f.coeffs_in_last_var
+    gc = g.coeffs_in_last_var
     gate = True
     for cl in (fc, gc):
         if len(cl) - 1 < 1:  # constant in Y

@@ -115,6 +115,32 @@ def test_digit_arithmetic_above_table_limit(p, k):
     assert big.pow(a, 3) == big._mul_raw(a, big._mul_raw(a, a))
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 8), (3, 5), (5, 3), (7, 2), (2, 17), (3, 11)])
+def test_digit_multiplication_matches_schoolbook(p, k):
+    # _mul_raw and _pow_raw run on the packed GF(p) reducer; check them
+    # against digit-by-digit convolution and long division by the modulus
+    ctx = extension_field(p, k)
+    mod = ctx.modulus
+
+    def schoolbook(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(ctx.coeffs(a)):
+            for j, y in enumerate(ctx.coeffs(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for top in range(2 * k - 2, k - 1, -1):  # mod is monic
+            c = prod[top]
+            for j in range(k + 1):
+                prod[top - k + j] = (prod[top - k + j] - c * mod[j]) % p
+        return ctx.from_coeffs(prod[:k])
+
+    rng = RngStream(7, p * 100 + k)
+    for _ in range(200):
+        a, b = rng.next_below(ctx.q), rng.next_below(ctx.q)
+        assert ctx._mul_raw(a, b) == schoolbook(a, b)
+        assert ctx._pow_raw(a, 5) == schoolbook(a, schoolbook(a, schoolbook(a, schoolbook(a, a))))
+    assert ctx._pow_raw(0, 0) == 1 and ctx._pow_raw(0, 3) == 0
+
+
 def test_inverse_sampled_large_fields():
     rng = RngStream(2024, 0)
     for q in (101, 1009, 65537, 2 ** 13):

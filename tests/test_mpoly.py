@@ -16,13 +16,13 @@ from svsearch.mpoly import (
 from svsearch.upoly import (
     is_squarefree,
     lagrange_interpolate,
-    sylvester_determinant,
     upoly_deg,
     upoly_eval,
     upoly_gcd,
     upoly_add,
     upoly_monic,
     upoly_mul,
+    upoly_resultant,
     upoly_sub,
     upoly_trim,
     xq_mod,
@@ -379,8 +379,8 @@ def test_resultant_usage_errors():
 def _sylvester_symbolic(f, g, ctx):
     """Slow oracle: the Sylvester determinant with polynomial entries,
     expanded by cofactors."""
-    fc = f.coeffs_in_last_var(ctx)
-    gc = g.coeffs_in_last_var(ctx)
+    fc = f.coeffs_in_last_var
+    gc = g.coeffs_in_last_var
     n, m = len(fc) - 1, len(gc) - 1
     size = n + m
     rows = []
@@ -414,8 +414,8 @@ def test_resultant_matches_symbolic_sylvester():
         while trials < 12:
             f = random_poly(2, 3, ctx, rng)
             g = random_poly(2, 3, ctx, rng)
-            fc = f.coeffs_in_last_var(ctx) if not f.is_zero() else []
-            gc = g.coeffs_in_last_var(ctx) if not g.is_zero() else []
+            fc = f.coeffs_in_last_var if not f.is_zero() else []
+            gc = g.coeffs_in_last_var if not g.is_zero() else []
             if len(fc) - 1 < 1 or len(gc) - 1 < 1:
                 continue
             trials += 1
@@ -432,8 +432,8 @@ def test_resultant_vanishes_iff_shared_root_or_lc_collapse():
             g = random_poly(2, 2, ctx, rng)
             if f.is_zero() or g.is_zero():
                 continue
-            fc = f.coeffs_in_last_var(ctx)
-            gc = g.coeffs_in_last_var(ctx)
+            fc = f.coeffs_in_last_var
+            gc = g.coeffs_in_last_var
             if len(fc) - 1 < 1 or len(gc) - 1 < 1:
                 continue
             res = resultant_y(f, g, ctx)
@@ -468,10 +468,23 @@ def test_resultant_general_conventions():
     assert resultant_y_general(MPoly.zero(2), g, c5) == ()
 
 
-def test_sylvester_determinant_requires_positive_degrees():
+def test_coeffs_in_last_var_is_computed_once_and_ignored_by_equality():
+    c5 = prime_field(5)
+    terms = [((2, 1), 3), ((0, 2), 1), ((1, 0), 4)]
+    f = P(2, terms, c5)
+    fc = f.coeffs_in_last_var
+    assert fc == ((0, 4), (0, 0, 3), (1,))
+    assert f.coeffs_in_last_var is fc
+    fresh = P(2, terms, c5)
+    assert f == fresh and hash(f) == hash(fresh)
+    with pytest.raises(UsageError):
+        P(3, [((1, 1, 1), 1)], c5).coeffs_in_last_var
+
+
+def test_upoly_resultant_requires_positive_degrees():
     c5 = prime_field(5)
     with pytest.raises(UsageError):
-        sylvester_determinant((1,), (0, 1), c5)
+        upoly_resultant((1,), (0, 1), c5)
 
 
 def test_resultant_root_criterion_matches_extension_scan():
@@ -489,8 +502,8 @@ def test_resultant_root_criterion_matches_extension_scan():
             g = random_poly(2, 2, ctx, rng)
             if f.is_zero() or g.is_zero():
                 continue
-            fc = f.coeffs_in_last_var(ctx)
-            gc = g.coeffs_in_last_var(ctx)
+            fc = f.coeffs_in_last_var
+            gc = g.coeffs_in_last_var
             if len(fc) - 1 < 1 or len(gc) - 1 < 1:
                 continue
             checked += 1

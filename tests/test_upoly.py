@@ -9,15 +9,22 @@ from svsearch.errors import UsageError
 from svsearch.ffield import field_for_order, prime_field
 from svsearch.mpoly import rational_roots
 from svsearch.upoly import (
+    PackedModulus,
     lagrange_interpolate,
     upoly_divmod,
     upoly_gcd,
     upoly_mul,
+    upoly_pow_mod,
+    upoly_resultant,
     upoly_trim,
     xq_mod,
 )
 
 FIELDS = {q: field_for_order(q) for q in (2, 3, 4, 7, 8, 9, 25, 1009)}
+# the packed GF(p) powering, up to 2^31 - 1: the largest prime under PRIME_LIMIT,
+# where the slot width 2^w > 2*n*p^2 is widest
+PACKED_PRIMES = {p: prime_field(p) for p in (2, 3, 1009, 1000003, 2147483647)}
+RESULTANT_FIELDS = {q: field_for_order(q) for q in (2, 3, 4, 7, 8, 9, 101, 256, 1009)}
 
 
 def ref_mul(f, g, ctx):
@@ -45,6 +52,46 @@ def ref_mod(f, g, ctx):
         assert r[-1] == 0
         r = list(upoly_trim(r[:-1]))
     return tuple(r)
+
+
+def ref_pow_mod(base, e, mod, ctx):
+    """Right-to-left square and multiply on the schoolbook product and
+    long division; for e below 64, plain repeated multiplication."""
+    result, square = ref_mod((1,), mod, ctx), ref_mod(base, mod, ctx)
+    if e < 64:
+        for _ in range(e):
+            result = ref_mod(ref_mul(result, square, ctx), mod, ctx)
+        return result
+    while e:
+        if e & 1:
+            result = ref_mod(ref_mul(result, square, ctx), mod, ctx)
+        square = ref_mod(ref_mul(square, square, ctx), mod, ctx)
+        e >>= 1
+    return result
+
+
+def ref_sylvester_determinant(f, g, ctx):
+    """Res(f, g) as the determinant of the Sylvester matrix, by Gaussian
+    elimination with the checked field operations."""
+    n, m = len(f) - 1, len(g) - 1
+    size = n + m
+    frow, grow = list(reversed(f)), list(reversed(g))  # leading coefficient first
+    rows = [[0] * i + frow + [0] * (size - n - 1 - i) for i in range(m)]
+    rows += [[0] * i + grow + [0] * (size - m - 1 - i) for i in range(n)]
+    det = 1
+    for col in range(size):
+        pivot = next((i for i in range(col, size) if rows[i][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = ctx.neg(det)
+        det = ctx.mul(det, rows[col][col])
+        inv = ctx.inv(rows[col][col])
+        for i in range(col + 1, size):
+            factor = ctx.mul(rows[i][col], inv)
+            rows[i] = [ctx.sub(a, ctx.mul(factor, b)) for a, b in zip(rows[i], rows[col])]
+    return det
 
 
 def ref_eval(f, x, ctx):
@@ -106,6 +153,72 @@ def test_xq_mod_matches_repeated_multiplication_by_x(case):
     for _ in range(ctx.q):
         power = ref_mod((0,) + power, f, ctx)
     assert xq_mod(f, ctx) == power
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_pow_mod_matches_schoolbook(data):
+    p = data.draw(st.sampled_from(sorted(PACKED_PRIMES)))
+    ctx = PACKED_PRIMES[p]
+    elements, units = st.integers(0, p - 1), st.integers(1, p - 1)
+    n = data.draw(st.integers(1, 16))
+    mod = tuple(data.draw(st.lists(elements, min_size=n, max_size=n))) + (data.draw(units),)  # not monic in general
+    base = upoly_trim(data.draw(st.lists(elements, max_size=2 * n + 3)))  # often of degree >= n
+    e = data.draw(st.one_of(st.just(0), st.integers(0, 3 * p)))
+    assert upoly_pow_mod(base, e, mod, ctx) == ref_pow_mod(base, e, mod, ctx)
+
+
+def test_packed_reduction_at_the_slot_bound():
+    # every slot as large as a product of two reduced polynomials makes it,
+    # n(p-1)^2, and a monic modulus whose lower coefficients are all p - 1,
+    # so each step adds about (p-1)^2 to the slots below: at p = 2^31 - 1
+    # the slots reach ~(2n-1)p^2, past n*p^2 and under the bound 2^w > 2n*p^2
+    p = 2147483647
+    ctx = PACKED_PRIMES[p]
+    for n in (1, 2, 16):
+        mod = (p - 1,) * n + (1,)
+        pm = PackedModulus(mod, p)
+        biggest = n * (p - 1) ** 2
+        for residue in (0, 1, 2, p - 1):
+            slots = [biggest - (biggest - residue) % p] * (2 * n - 1)
+            packed = sum(c << pm.w * i for i, c in enumerate(slots))
+            reduced = pm.reduce(packed, 2 * n - 2)
+            assert upoly_trim(pm.coeffs(reduced)) == ref_mod([c % p for c in slots], mod, ctx)
+
+
+@st.composite
+def resultant_pairs(draw):
+    """A field and f, g of degree >= 1 that are random, linear, share a
+    factor, or have f mod g more than one degree below g."""
+    ctx = RESULTANT_FIELDS[draw(st.sampled_from(sorted(RESULTANT_FIELDS)))]
+    elements, units = st.integers(0, ctx.q - 1), st.integers(1, ctx.q - 1)
+
+    def poly(lo, hi):
+        d = draw(st.integers(lo, hi))
+        return tuple(draw(st.lists(elements, min_size=d, max_size=d))) + (draw(units),)
+
+    kind = draw(st.sampled_from(["random", "linear", "shared", "drop"]))
+    if kind == "random":
+        return ctx, kind, poly(1, 7), poly(1, 7)
+    if kind == "linear":
+        f, g = poly(1, 1), poly(1, 7)
+        return (ctx, kind, f, g) if draw(st.booleans()) else (ctx, kind, g, f)
+    if kind == "shared":
+        h = poly(1, 3)
+        return ctx, kind, ref_mul(h, poly(0, 3), ctx), ref_mul(h, poly(0, 3), ctx)
+    g = poly(3, 6)
+    rem = upoly_trim(draw(st.lists(elements, max_size=len(g) - 2)))  # deg <= deg g - 2
+    return ctx, kind, ref_add(ref_mul(poly(0, 3), g, ctx), rem, ctx), g
+
+
+@settings(max_examples=300, deadline=None)
+@given(resultant_pairs())
+def test_resultant_matches_sylvester_determinant(case):
+    ctx, kind, f, g = case
+    res = upoly_resultant(f, g, ctx)
+    assert res == ref_sylvester_determinant(f, g, ctx)
+    if kind == "shared":
+        assert res == 0
 
 
 @settings(max_examples=80, deadline=None)
