@@ -81,7 +81,17 @@ def upoly_divmod(f: UPoly, g: UPoly, ctx: FieldCtx) -> tuple[UPoly, UPoly]:
 
 
 def upoly_mod(f: UPoly, g: UPoly, ctx: FieldCtx) -> UPoly:
-    return upoly_divmod(f, g, ctx)[1]
+    """upoly_divmod(f, g)[1], without building the quotient."""
+    if not g:
+        raise DomainError("division by the zero polynomial")
+    ops = ctx.ops
+    dg = upoly_deg(g)
+    neg_inv_lead, low = ops.neg(ops.inv(g[-1])), g[:-1]
+    rem = list(f)
+    for top in range(len(f) - 1, dg - 1, -1):  # rem[top] is never read again
+        if rem[top]:
+            rem[top - dg : top] = ops.axpy(rem[top - dg : top], ops.mul(rem[top], neg_inv_lead), low)
+    return upoly_trim(rem[:dg])
 
 
 def upoly_monic(f: UPoly, ctx: FieldCtx) -> UPoly:

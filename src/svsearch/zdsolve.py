@@ -24,7 +24,6 @@ from .mpoly import MPoly, lift_with_embedding, monomials, rational_roots, result
 from .upoly import UPoly, is_squarefree, upoly_deg, upoly_eval, upoly_gcd, upoly_trim
 
 GRID_LIMIT = 1 << 24
-ZERO_CHUNK = 1 << 14  # grid cells searched for zeros at a time
 
 
 @dataclass(frozen=True)
@@ -66,14 +65,17 @@ class CertResult:
 # exhaustive backend
 
 
-def _check_float_exact(p: int, terms: int) -> None:
-    """Refuse float64 sums of `terms` products of residues mod p that could round.
+def _exact_float(p: int, terms: int) -> type[np.floating]:
+    """The narrowest float type whose sums of `terms` products of residues mod p are exact.
 
-    Each product is at most (p-1)^2 and float64 holds every integer below
-    2^53 exactly, so such a sum is exact while terms * (p-1)^2 < 2^53.
+    Each product is at most (p-1)^2, and a float with an m-bit significand
+    (m = 24 for float32, 53 for float64) holds every integer below 2^m, so
+    every partial sum of such products is exact while terms * (p-1)^2 < 2^m.
     """
-    if terms * (p - 1) ** 2 >= 1 << 53:
-        raise CapacityError(f"{terms} products of residues mod {p} exceed float64's exact 2^53")
+    for dtype in (np.float32, np.float64):
+        if terms * (p - 1) ** 2 < 2 ** (np.finfo(dtype).nmant + 1):
+            return dtype
+    raise CapacityError(f"{terms} products of residues mod {p} exceed float64's exact 2^53")
 
 
 class _GridEval:
@@ -84,11 +86,19 @@ class _GridEval:
     prefix*q + x.  Grouping terms by their head, the exponents of the
     prefix, f = sum over heads h of prefix^h * line_h(x).  `head` holds
     prefix^h at every prefix (q^(s-1) x H) and `lines(f)` every line_h at
-    every x (H x q).  Over GF(p) both are float64 residues, a slab is one
-    matmul whose sums are exact (see _check_float_exact), and v = 0 mod p
-    exactly when v/p is whole.  Over GF(p^k) both are logs, with
-    `zero_log` standing for log 0, and a value adds up the groups
-    exp[head + line].
+    every x (H x q).  A slab is `rows` whole lines, about 2^16 cells over
+    GF(p) and 2^14 in the log domain.
+
+    Over GF(p) both are residues in the float type `_exact_float` picks,
+    with m significand bits, so a slab, one matmul into a buffer the
+    evaluator owns, holds exact integers v below 2^m.  With
+    t = rint(fl(v * fl(1/p))), v = 0 mod p exactly when t*p == v.  For
+    v = kp, |fl(v * fl(1/p)) - k| < 1/2, so t = k: for p = 2 the product
+    is exact, and for p >= 3, k < 2^m/p gives |v * fl(1/p) - k| <= k*2^-m
+    < 1/3, and rounding a product below 2^(m-1) adds at most 1/4.  For
+    other v, t*p is an exact multiple of p below 2^m or rounds to at
+    least 2^m > v.  Over GF(p^k) both are logs, with `zero_log` standing
+    for log 0, and a value adds up the groups exp[head + line].
     """
 
     def __init__(self, ctx: FieldCtx, s: int, maxdeg: int) -> None:
@@ -96,8 +106,12 @@ class _GridEval:
         self.p, self.prime = ctx.p, ctx.k == 1
         heads = monomials(s - 1, maxdeg)
         self.heads = {h: i for i, h in enumerate(heads)}
+        self.rows = max(1, min(q ** (s - 1), (1 << (16 if self.prime else 14)) // q))
         if self.prime:
-            _check_float_exact(ctx.p, len(heads))
+            dtype = self.dtype = _exact_float(ctx.p, len(heads))
+            self.p_float, self.inv_p = dtype(ctx.p), dtype(1) / dtype(ctx.p)
+            self._vals, self._scaled = np.empty((2, self.rows * q), dtype=dtype)
+            self._mask = np.empty(self.rows * q, dtype=bool)
             xs = np.arange(q, dtype=np.int64)
             self.tab = np.ones((maxdeg + 1, q), dtype=np.int64)  # x^e
             for e in range(1, maxdeg + 1):
@@ -125,7 +139,7 @@ class _GridEval:
             factor = self.tab[exps[:, axis]][:, None, :]
             head = head[:, :, None] * factor % ctx.p if self.prime else head[:, :, None] + factor
             head = head.reshape(len(heads), -1)
-        self.head = head.T.astype(np.float64) if self.prime else head.T
+        self.head = head.T.astype(self.dtype) if self.prime else head.T
 
     def _add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a + b over GF(p^k); may overwrite a."""
@@ -143,7 +157,7 @@ class _GridEval:
             cmat = np.zeros((len(self.heads), len(self.tab)), dtype=np.int64)
             for exps, c in f.terms:
                 cmat[self.heads[exps[:-1]], exps[-1]] = c
-            return (cmat @ self.tab % self.p).astype(np.float64)
+            return (cmat @ self.tab % self.p).astype(self.dtype)
         vals = np.zeros((len(self.heads), self.q), dtype=np.int32)
         for exps, c in f.terms:
             h = self.heads[exps[:-1]]
@@ -159,7 +173,8 @@ class _GridEval:
     def slab(self, lines: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Values at the cells with prefix in [lo, hi), shape (hi - lo, q)."""
         if self.prime:
-            return self.head[lo:hi] @ lines
+            out = self._vals[: (hi - lo) * self.q].reshape(hi - lo, self.q)
+            return np.matmul(self.head[lo:hi], lines, out=out)
         return self._log_sum(self.head[lo:hi].T[:, :, None], lines[:, None, :])
 
     def at(self, lines: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -171,11 +186,14 @@ class _GridEval:
         return self._log_sum(heads, lines)
 
     def zero(self, vals: np.ndarray) -> np.ndarray:
-        """Mask of the values that are 0 in the field; may overwrite vals."""
+        """Mask of the values (at most a slab) that are 0 in the field, valid until the next call."""
         if not self.prime:
             return vals == 0
-        vals /= self.p
-        return vals == np.floor(vals)
+        n = vals.size
+        t = np.multiply(vals, self.inv_p, out=self._scaled[:n].reshape(vals.shape))
+        np.rint(t, out=t)
+        t *= self.p_float
+        return np.equal(t, vals, out=self._mask[:n].reshape(vals.shape))
 
 
 # every trial of an experiment scans grids of one field, s and degree
@@ -185,8 +203,8 @@ _grid_eval = lru_cache(maxsize=1)(_GridEval)
 def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
     """Common zeros in row-major grid order (first coordinate slowest).
 
-    The grid is walked in slabs of about ZERO_CHUNK cells, whole lines of
-    the last coordinate in prefix order.  The first polynomial is
+    The grid is walked in slabs of the evaluator's `rows` whole lines of
+    the last coordinate, in prefix order.  The first polynomial is
     evaluated on the slab, each later one only at the cells where all
     before it vanish, and a slab's zeros are yielded before the next slab
     is computed: a search stops at the first slab that holds one.
@@ -203,7 +221,7 @@ def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
         return
     grid = _grid_eval(ctx, s, max(0, *(f.degree for f in polys)))
     first, *rest = [grid.lines(f) for f in polys]
-    prefixes, step = q ** (s - 1), max(1, ZERO_CHUNK // q)
+    prefixes, step = q ** (s - 1), grid.rows
     for lo in range(0, prefixes, step):
         cells = lo * q + np.flatnonzero(grid.zero(grid.slab(first, lo, min(lo + step, prefixes))))
         for lines in rest:

@@ -1,22 +1,32 @@
 """The slab-streamed exhaustive grid against a brute-force scan of the grid,
-in the same order, and the limits it keeps: exact float64 sums over GF(p)
-and memory that does not grow with the grid."""
+in the same order, and the limits it keeps: exact sums in the narrowest
+float type over GF(p), a division-free zero test, evaluator buffers that
+streams share without leaking, and memory that does not grow with the
+grid.  Pinned `trials.csv` hashes cover the float32, float64 and
+log-domain paths."""
 
+import functools
+import hashlib
 import itertools
 import tracemalloc
+from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svsearch import zdsolve
 from svsearch.errors import CapacityError
 from svsearch.ffield import field_for_order
+from svsearch.mc import records_to_csv, run_experiment
 from svsearch.mpoly import MPoly, monomials
 from svsearch.sampler import RngStream
 from svsearch.zdsolve import (
-    ZERO_CHUNK,
     ZeroDimQuery,
-    _check_float_exact,
+    _exact_float,
+    _GridEval,
     _zeros,
     count_zeros,
     find_zero,
@@ -83,13 +93,15 @@ def test_backends_agree_on_random_s2_queries(query):
     assert list(_zeros(query, "exhaustive")) == list(_zeros(query, "resultant"))
 
 
-@pytest.mark.parametrize("q,s", [(131, 2), (31, 3)])
+@pytest.mark.parametrize("q,s", [(1009, 2), (67, 3), (256, 2)])
 def test_zeros_straddle_a_slab_boundary(q, s):
-    # a slab holds ZERO_CHUNK // q whole lines of the last coordinate, so at
-    # these q its first boundary falls inside the grid, between two prefixes
-    # (first s-1 coordinates) that are not on a multiple of q^(s-1)
-    assert q ** s > ZERO_CHUNK and ZERO_CHUNK % q ** (s - 1) != 0
+    # a slab holds the evaluator's `rows` whole lines of the last coordinate
+    # (2^16 cells over GF(p), 2^14 in the log domain), so at these q its
+    # first boundary falls inside the grid, at a prefix (first s-1
+    # coordinates) that is not a multiple of q
     ctx = field_for_order(q)
+    rows = _GridEval(ctx, s, 2).rows
+    assert 0 < rows < q ** (s - 1) and rows % q != 0
     one = MPoly.from_terms(s, [((0,) * s, 1)], ctx)
 
     def prefix(n):
@@ -98,22 +110,115 @@ def test_zeros_straddle_a_slab_boundary(q, s):
     def pair(axis, a, b):  # (X_axis - a)(X_axis - b)
         return times_linear(times_linear(one, axis, a, ctx), axis, b, ctx)
 
-    boundary = ZERO_CHUNK // q  # the prefix that starts the second slab
-    before, after = prefix(boundary - 1), prefix(boundary)
-    polys = [pair(i, before[i], after[i]) for i in range(s - 1)] + [pair(s - 1, 0, 1)]
+    before, after = prefix(rows - 1), prefix(rows)  # the last prefix of slab 1, the first of slab 2
+    pairs = list(zip(before + [0], after + [1]))
+    polys = [pair(axis, a, b) for axis, (a, b) in enumerate(pairs)]
     query = ZeroDimQuery(ctx, s, tuple(polys), 2)
     zeros = list(_zeros(query, "exhaustive"))
-    assert zeros == brute_zeros(query)
+    # each polynomial vanishes on two hyperplanes of one axis (one, when its
+    # roots coincide): the zeros are their product, in row-major order
+    assert zeros == list(itertools.product(*(sorted({a, b}) for a, b in pairs)))
     assert tuple(before) + (1,) in zeros and tuple(after) + (0,) in zeros
     assert count_zeros(query) == len(zeros) and find_zero(query) == zeros[0]
 
 
 def test_float_sums_refused_past_two_to_the_53():
-    p = 4093
-    most = (2**53 - 1) // (p - 1) ** 2  # the most products whose sum stays below 2^53
-    _check_float_exact(p, most)
-    with pytest.raises(CapacityError):
-        _check_float_exact(p, most + 1)
+    for p in (2, 3, 4093):
+        square = (p - 1) ** 2
+        most = (2**53 - 1) // square  # the most products whose sum stays below 2^53
+        assert _exact_float(p, most) is np.float64
+        with pytest.raises(CapacityError):
+            _exact_float(p, most + 1)
+        if 2**53 % square == 0:  # H * (p-1)^2 lands on 2^53 exactly
+            with pytest.raises(CapacityError):
+                _exact_float(p, 2**53 // square)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17, 257, 1009, 4093])
+def test_float32_while_sums_stay_below_two_to_the_24(p):
+    square = (p - 1) ** 2
+    most = (2**24 - 1) // square
+    assert _exact_float(p, most) is np.float32
+    assert _exact_float(p, most + 1) is np.float64
+    if 2**24 % square == 0:  # H * (p-1)^2 lands on 2^24 exactly
+        assert _exact_float(p, 2**24 // square) is np.float64
+
+
+@functools.cache
+def forced_float_eval(p, dtype):
+    """A GF(p) evaluator whose buffers and zero test run on `dtype`, whatever
+    its exact-sum bound would pick: the test only needs v below 2^m."""
+    with mock.patch.object(zdsolve, "_exact_float", return_value=dtype):
+        return _GridEval(field_for_order(p), 2, 1)
+
+
+# at 4093 most products v * fl(1/p) of float32 multiples land above k, and
+# at 65521 many land below it, so neither floor nor ceil would pass for rint
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [2, 3, 31, 1009, 4093, 65521])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zero_test_matches_integer_remainder(p, dtype, data):
+    grid = forced_float_eval(p, dtype)
+    assert grid.dtype is dtype
+    top = 2 ** (np.finfo(dtype).nmant + 1) - 1  # the largest integer of the exact range
+    for k in (top // p, data.draw(st.integers(0, top // p))):  # the last multiple, and any
+        vals = [v for v in (k * p - 1, k * p, k * p + 1) if 0 <= v <= top]
+        mask = grid.zero(np.array(vals, dtype=dtype))
+        assert mask.tolist() == [v % p == 0 for v in vals], (k, vals)
+
+
+def test_streams_sharing_an_evaluator_do_not_leak():
+    # q = 257: two prime-field slabs; every query below has degree 3 in two
+    # variables, so all share the cached evaluator and its buffers
+    ctx = field_for_order(257)
+
+    def poly(terms):
+        return MPoly.from_terms(2, terms, ctx)
+
+    curve = poly([((0, 1), 1), ((3, 0), 256)])  # Y - X^3: one zero on every line
+    parabola = poly([((0, 2), 1), ((1, 0), 256)])  # Y^2 - X
+    queries = [
+        ZeroDimQuery(ctx, 2, (curve, MPoly.zero(2)), 3),
+        ZeroDimQuery(ctx, 2, (parabola, poly([((1, 2), 1), ((2, 0), 256)])), 3),  # and X(Y^2 - X)
+        ZeroDimQuery(ctx, 2, (poly([((1, 1), 1), ((3, 0), 1)]), curve), 3),  # XY + X^3 and Y - X^3
+    ]
+    expected = [brute_zeros(query) for query in queries]
+    assert all(len(zeros) > 2 for zeros in expected[:2])
+    zdsolve._grid_eval.cache_clear()
+    streams = [_zeros(query, "exhaustive") for query in queries[:2]]
+    got = [[], []]
+    for _ in range(max(map(len, expected))):  # advance the two streams in turn
+        for stream, out in zip(streams, got):
+            out.extend(itertools.islice(stream, 1))
+    assert got == expected[:2]
+    # a full scan and a search on the shared buffers while a stream is
+    # suspended after its first zero
+    stream = _zeros(queries[0], "exhaustive")
+    first = next(stream)
+    assert count_zeros(queries[2]) == len(expected[2])
+    assert find_zero(queries[1]) == expected[1][0]
+    assert [first, *stream] == expected[0]
+    assert zdsolve._grid_eval.cache_info().misses == 1  # one evaluator served every stream
+
+
+# one exhaustive config per grid path, (q, r, s, d, trials, seed), with the
+# sha256 of its trials.csv as the float64-only slabs wrote it
+@pytest.mark.parametrize(
+    "path,config,sha256",
+    [
+        (np.float32, (1009, 4, 2, 3, 20, 2206), "8f140a57720de420ae8bd6e33de70316f61b3a0ff8c015854dcc4f907e779ad5"),
+        (np.float64, (4093, 3, 2, 3, 5, 2206), "98e68ca3237b42646263953bc7b83b8abc00a1f6160e8d740282c2294734a028"),
+        (None, (256, 5, 2, 3, 20, 2206), "2366e60e5f5dc51764a4fd36ec14c21c813f9d8e17ff12cb717b1a15e30c1012"),
+    ],
+    ids=["float32", "float64", "log"],
+)
+def test_trials_csv_bytes_are_pinned(path, config, sha256):
+    q, r, s, d, trials, seed = config
+    ctx = field_for_order(q)
+    assert getattr(_GridEval(ctx, s, d), "dtype", None) is path
+    records, _ = run_experiment(q, r, s, d, trials, seed=seed)
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("q", [4096, 4093])  # GF(2^12) in the log domain, GF(p) in float64

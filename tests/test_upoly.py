@@ -13,6 +13,7 @@ from svsearch.upoly import (
     lagrange_interpolate,
     upoly_divmod,
     upoly_gcd,
+    upoly_mod,
     upoly_mul,
     upoly_pow_mod,
     upoly_resultant,
@@ -132,6 +133,14 @@ def test_divmod_recombines(case):
     assert len(rem) < len(g)
     assert ref_add(ref_mul(quot, g, ctx), rem, ctx) == f
     assert rem == ref_mod(f, g, ctx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_and_polys(2, max_len=12))
+def test_mod_is_the_divmod_remainder(case):
+    ctx, (f, g) = case
+    g = g or (1,)
+    assert upoly_mod(f, g, ctx) == upoly_divmod(f, g, ctx)[1]
 
 
 @settings(max_examples=80, deadline=None)

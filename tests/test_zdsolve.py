@@ -14,7 +14,6 @@ from svsearch.ffield import field_for_order, prime_field
 from svsearch.mpoly import MPoly, monomials, resultant_y
 from svsearch.sampler import RngStream
 from svsearch.zdsolve import (
-    ZERO_CHUNK,
     ZeroDimQuery,
     _GridEval,
     _zeros,
@@ -222,14 +221,16 @@ def test_backend_agreement_degenerate(q):
 
 
 def test_count_crosses_zero_chunks():
-    # 65536 zeros span several chunks of the grid enumerator; the stream
-    # must keep row-major order across chunk boundaries
-    ctx = field_for_order(256)
-    query = ZeroDimQuery(ctx, 2, (MPoly.zero(2), MPoly.zero(2)), 2)
-    assert 65536 > ZERO_CHUNK
-    assert count_zeros(query, "exhaustive") == 65536
-    assert count_zeros(query, "resultant") == 65536
-    assert list(_zeros(query, "exhaustive")) == list(itertools.product(range(256), repeat=2))
+    # every cell is a zero, so the stream spans several slabs of the grid
+    # enumerator and must keep row-major order across their boundaries;
+    # GF(256) runs in the log domain, GF(409) on prime-field slabs
+    for q in (256, 409):
+        ctx = field_for_order(q)
+        query = ZeroDimQuery(ctx, 2, (MPoly.zero(2), MPoly.zero(2)), 2)
+        assert _GridEval(ctx, 2, 0).rows < q  # more than one slab
+        assert count_zeros(query, "exhaustive") == q * q
+        assert count_zeros(query, "resultant") == q * q
+        assert list(_zeros(query, "exhaustive")) == list(itertools.product(range(q), repeat=2))
 
 
 def test_exhaustive_matches_brute_force_s3():
