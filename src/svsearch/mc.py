@@ -102,9 +102,9 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 
 
 def _run_trial(args: tuple) -> TrialRecord:
-    (trial_id, seed, ctx, r, s, d, hstar, backend, want_certificates, allow_zero) = args
+    (trial_id, seed, ctx, r, s, d, hstar, backend, want_certificates) = args
     rng = RngStream(seed, trial_id)
-    system = sample_system(ctx, r, s, d, rng, allow_zero=allow_zero)
+    system = sample_system(ctx, r, s, d, rng)
     try:
         outcome = run_svs(
             system,
@@ -158,14 +158,14 @@ def estimate_with_ci(count: int, n: int) -> tuple[float, float, tuple[float, flo
     return phat, se, (max(phat - 3 * se, 0.0), min(phat + 3 * se, 1.0))
 
 
-def _widened_distance_ok(count: int, n: int, interval: BoundInterval) -> bool:
-    """Exact check: the estimate sits within the interval widened by 3 SE."""
-    phat = Fraction(count, n)
-    dist = interval.distance(phat)
+def _widened_distance_ok(dist: Fraction, count: int, n: int) -> bool:
+    """Exact check: the estimate count/n, at distance dist from its target
+    interval, is within 3 SE of it (within 3/n at count 0 or n)."""
     if dist == 0:
         return True
     if count in (0, n):
         return dist <= Fraction(3, n)
+    phat = Fraction(count, n)
     se_sq = phat * (1 - phat) / n
     return dist * dist <= 9 * se_sq
 
@@ -179,7 +179,7 @@ def _comparison(name: str, count: int, n: int, interval: BoundInterval) -> dict:
         "se": se,
         "ci3": list(ci),
         "interval": interval.as_dict(),
-        "passed": _widened_distance_ok(count, n, interval),
+        "passed": _widened_distance_ok(interval.distance(Fraction(count, n)), count, n),
     }
 
 
@@ -199,7 +199,6 @@ def run_experiment(
     hstar: int | None = None,
     trial_offset: int = 0,
     workers: int = 1,
-    allow_zero: bool = True,
 ) -> tuple[list[TrialRecord], dict]:
     """N independent searches on fresh random systems, plus the scorecard.
 
@@ -216,7 +215,7 @@ def run_experiment(
     hstar = hstar if hstar is not None else r - s + 1
     t0 = time.monotonic()
     jobs = [
-        (trial_offset + t, seed, ctx, r, s, d, hstar, backend, want_certificates, allow_zero)
+        (trial_offset + t, seed, ctx, r, s, d, hstar, backend, want_certificates)
         for t in range(n_trials)
     ]
     if workers > 1:
@@ -279,20 +278,13 @@ def summarize(
         certified = sum(1 for rec in live if rec.certificate == "certified")
         bound = cert_rate_lower_bound(q, s, d)
         rate = Fraction(certified, n)
-        if rate >= bound:
-            passed = True
-        elif certified in (0, n):
-            passed = bound - rate <= Fraction(3, n)
-        else:
-            se_sq = rate * (1 - rate) / n
-            passed = (bound - rate) ** 2 <= 9 * se_sq
         cert_block = {
             "certified": certified,
             "rate": float(rate),
             "lower_bound": str(bound),
             "lower_bound_float": float(bound),
             "vacuous": bound == 0,
-            "passed": passed,
+            "passed": _widened_distance_ok(max(bound - rate, 0), certified, n),  # rate to [bound, 1]
         }
 
     summary = {
@@ -314,7 +306,7 @@ def summarize(
             str(h): _estimate_dict(counts[h], n) for h in range(1, hstar + 1)
         }
         | {"failure": _estimate_dict(failures, n)},
-        "comparisons": [_jsonable_comparison(c) for c in comparisons],
+        "comparisons": comparisons,
         "all_passed": all(c["passed"] for c in comparisons),
         "mean_strips": mean_block,
         "certificates": cert_block,
@@ -352,12 +344,6 @@ def _mean_strips_block(values: list[int], q: int, r: int, s: int, d: int) -> dic
         "bound": bound.as_dict(),
         "passed": passed,
     }
-
-
-def _jsonable_comparison(c: dict) -> dict:
-    out = dict(c)
-    out["estimate"] = float(c["estimate"])
-    return out
 
 
 # ---------------------------------------------------------------------------

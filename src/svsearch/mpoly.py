@@ -278,17 +278,16 @@ def _split_linear_product(g: UPoly, ctx: FieldCtx, roots: set[int]) -> None:
 def lift_with_embedding(ctx: FieldCtx, e: int):
     """GF(q^e) plus the embedding of GF(q) into it.
 
-    Returns (ext_ctx, embed, unembed); embed/unembed are None when the
-    encoding is already compatible (prime base fields, where constants
-    keep their integer value).  Over an extension base the embedding
-    sends the generator to the smallest root of the base modulus in the
-    big field, which exists because the base degree divides the lifted
-    degree.
+    Returns (ext_ctx, embed, unembed): embed maps an element of GF(q) to
+    its image, and unembed is the dict from each image back.  Both are
+    identities at e = 1 and over a prime base, where constants keep their
+    integer value.  Over an extension base the embedding sends the
+    generator to the smallest root of the base modulus in the big field,
+    which exists because the base degree divides the lifted degree.
     """
-    if e == 1:
-        return (ctx, None, None)
-    if ctx.k == 1:
-        return (extension_field(ctx.p, e), None, None)
+    if e == 1 or ctx.k == 1:
+        table = {a: a for a in ctx.elements()}
+        return (ctx if e == 1 else extension_field(ctx.p, e), table.__getitem__, table)
     if ctx.q > LIFT_TABLE_LIMIT:
         raise CapacityError("extension base field too large to lift")
     ext = extension_field(ctx.p, ctx.k * e)
@@ -306,6 +305,11 @@ def lift_with_embedding(ctx: FieldCtx, e: int):
         table[a] = v
     unembed = {v: k for k, v in table.items()}
     return (ext, table.__getitem__, unembed)
+
+
+def y_poly_at(fc: tuple[UPoly, ...], x: int, ctx: FieldCtx) -> UPoly:
+    """f(x, Y) as a polynomial in Y, from f's `coeffs_in_last_var` fc."""
+    return upoly_trim([upoly_eval(cj, x, ctx) for cj in fc])
 
 
 @lru_cache(maxsize=1)
@@ -337,15 +341,14 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
     bound = f.degree * g.degree
     need_pool = bound + 1 + max(upoly_deg(fc[n]), 0) + max(upoly_deg(gc[m]), 0)
 
-    work, embed, unembed = ctx, None, None
+    work = ctx
     if ctx.q < need_pool:
-        e = 1
+        e = 2
         while ctx.q ** e < need_pool:
             e += 1
         work, embed, unembed = lift_with_embedding(ctx, e)
-        if embed is not None:
-            fc = [tuple(embed(c) for c in cj) for cj in fc]
-            gc = [tuple(embed(c) for c in cj) for cj in gc]
+        fc = [tuple(embed(c) for c in cj) for cj in fc]
+        gc = [tuple(embed(c) for c in cj) for cj in gc]
     lcf, lcg = fc[n], gc[m]
 
     xs: list[int] = []
@@ -353,31 +356,29 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
     for x in work.elements():
         if upoly_eval(lcf, x, work) == 0 or upoly_eval(lcg, x, work) == 0:
             continue
-        fv = upoly_trim([upoly_eval(cj, x, work) for cj in fc])
-        gv = upoly_trim([upoly_eval(cj, x, work) for cj in gc])
         xs.append(x)
-        ys.append(upoly_resultant(fv, gv, work))
+        ys.append(upoly_resultant(y_poly_at(fc, x, work), y_poly_at(gc, x, work), work))
         if len(xs) == bound + 1:
             break
     if len(xs) < bound + 1:
         raise CapacityError("not enough usable evaluation points")
     res = lagrange_interpolate(xs, ys, work)
     if work is not ctx:
-        if unembed is None:
-            if any(c >= ctx.q for c in res):
-                raise AssertionError("resultant coefficients left the base field")
-        else:
-            try:
-                res = upoly_trim([unembed[c] for c in res])
-            except KeyError:
-                raise AssertionError("resultant coefficients left the base field") from None
+        try:
+            res = upoly_trim([unembed[c] for c in res])
+        except KeyError:
+            raise AssertionError("resultant coefficients left the base field") from None
     return res
 
 
 def resultant_y_general(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly | None:
     """resultant_y extended by the standard conventions for degenerate
-    Y-degrees: Res(c, g) = c^deg_Y(g).  Returns None when both inputs are
-    constant in Y (no meaningful eliminant)."""
+    Y-degrees: Res(0, g) = 0 and Res(c, g) = c^deg_Y(g).  Returns None
+    when both inputs are constant in Y (no meaningful eliminant).
+
+    The one place that decides degenerate pairs: the resultant backend's
+    candidates and the certificate both read it.
+    """
     if f.is_zero() or g.is_zero():
         return ()
     fc = f.coeffs_in_last_var

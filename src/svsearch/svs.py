@@ -19,14 +19,25 @@ from .zdsolve import CertResult, ZeroDimQuery, cond_h_certificate, find_zero
 @dataclass(frozen=True)
 class SolveOutcome:
     status: str  # "success" | "failure"
-    strip_index: int | None  # 1-based, success only
-    strip: Strip | None  # the successful strip
     point: tuple[int, ...] | None  # success only
-    strips_tried: int
-    strips: tuple[Strip, ...]  # the strips actually visited, in order
+    strips: tuple[Strip, ...]  # the strips actually visited, in order; on success the last one holds point
     certificates: tuple[CertResult, ...] | None  # one per visited strip, on request
     backend: str
     hstar: int
+
+    @property
+    def strips_tried(self) -> int:
+        return len(self.strips)
+
+    @property
+    def strip_index(self) -> int | None:
+        """1-based index of the successful strip; None on failure."""
+        return len(self.strips) if self.status == "success" else None
+
+    @property
+    def strip(self) -> Strip | None:
+        """The successful strip; None on failure."""
+        return self.strips[-1] if self.status == "success" else None
 
     def to_dict(self, system: SystemSpec) -> dict:
         ctx = system.ctx
@@ -109,7 +120,8 @@ def run_svs(
 
     visited: list[Strip] = []
     certs: list[CertResult] = []
-    for i, a in enumerate(plan, start=1):
+    point = None
+    for a in plan:
         visited.append(a)
         specialized = tuple(f.specialize(a, ctx) for f in system.polys)
         query = ZeroDimQuery(ctx, system.s, specialized, system.d)
@@ -119,23 +131,10 @@ def run_svs(
         if point is not None:
             if not verify_solution(system, a, point):
                 raise AssertionError("solver returned a point that does not solve the system")
-            return SolveOutcome(
-                status="success",
-                strip_index=i,
-                strip=a,
-                point=point,
-                strips_tried=i,
-                strips=tuple(visited),
-                certificates=tuple(certs) if certify else None,
-                backend=backend,
-                hstar=budget,
-            )
+            break
     return SolveOutcome(
-        status="failure",
-        strip_index=None,
-        strip=None,
-        point=None,
-        strips_tried=len(visited),
+        status="failure" if point is None else "success",
+        point=point,
         strips=tuple(visited),
         certificates=tuple(certs) if certify else None,
         backend=backend,

@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx
-from .mpoly import MPoly, lift_with_embedding, monomials, rational_roots, resultant_y, resultant_y_general
-from .upoly import UPoly, is_squarefree, upoly_deg, upoly_eval, upoly_gcd, upoly_trim
+# resultant_y is not called here: perfbench/tracing.py looks it up on this module by name
+from .mpoly import MPoly, lift_with_embedding, monomials, rational_roots, resultant_y, resultant_y_general, y_poly_at
+from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked
 
 GRID_LIMIT = 1 << 24
 
@@ -233,41 +234,29 @@ def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
 # resultant backend (s = 2)
 
 
-def _specialized_y_poly(fc: tuple[UPoly, ...], x: int, ctx: FieldCtx) -> UPoly:
-    return upoly_trim([upoly_eval(cj, x, ctx) for cj in fc])
-
-
 def _common_y_roots(fx: UPoly, gx: UPoly, ctx: FieldCtx) -> list[int]:
     if not fx and not gx:
         return list(ctx.elements())
-    if not fx:
-        return sorted(rational_roots(gx, ctx)) if upoly_deg(gx) >= 1 else []
-    if not gx:
-        return sorted(rational_roots(fx, ctx)) if upoly_deg(fx) >= 1 else []
-    g = upoly_gcd(fx, gx, ctx)
-    return sorted(rational_roots(g, ctx)) if upoly_deg(g) >= 1 else []
+    h = upoly_gcd_unchecked(fx, gx, ctx)  # gcd(0, g) is monic g
+    return sorted(rational_roots(h, ctx)) if upoly_deg(h) >= 1 else []
 
 
-def _resultant_candidates(live: list[MPoly], ctx: FieldCtx) -> list[int] | None:
+def _resultant_candidates(f: MPoly, g: MPoly, ctx: FieldCtx) -> list[int] | None:
     """Candidate first coordinates for common zeros, or None for "all".
 
     A rational common zero (x, y) must have x among the rational roots of
-    the resultant.  That holds also where both leading Y-coefficients
-    vanish at x: there the first column of the Sylvester matrix is zero,
-    so the resultant vanishes at x too.  When the resultant vanishes
-    identically (shared factor) every x qualifies.  A polynomial constant
-    in Y confines x to the roots of its X-part.
+    the resultant, `resultant_y_general`.  That holds also where both
+    leading Y-coefficients vanish at x: there the first column of the
+    Sylvester matrix is zero, so the resultant vanishes at x too.  When
+    the resultant vanishes identically (a zero polynomial or a shared
+    factor) every x qualifies.  When both polynomials are constant in Y,
+    x is confined to the roots of f's X-part.
     """
-    if len(live) < 2:
-        return None
-    for f in live:
-        fc = f.coeffs_in_last_var
-        if len(fc) == 1:
-            return sorted(rational_roots(fc[0], ctx)) if upoly_deg(fc[0]) >= 1 else []
-    f, g = live
-    res = resultant_y(f, g, ctx)
+    res = resultant_y_general(f, g, ctx)
+    if res is None:
+        res = f.coeffs_in_last_var[0]
     if not res:
-        return None  # shared factor: scan every x
+        return None
     return sorted(rational_roots(res, ctx)) if upoly_deg(res) >= 1 else []
 
 
@@ -276,14 +265,11 @@ def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
     if query.s != 2:
         raise CapacityError("resultant backend supports s = 2 only")
     ctx = query.ctx
-    live = [f for f in query.polys if not f.is_zero()]
-    cands = _resultant_candidates(live, ctx)
-    # a zero polynomial imposes nothing: it specializes to ()
-    fc, gc = [f.coeffs_in_last_var for f in live] + [()] * (2 - len(live))
+    f, g = query.polys
+    cands = _resultant_candidates(f, g, ctx)
+    fc, gc = f.coeffs_in_last_var, g.coeffs_in_last_var  # () for a zero polynomial
     for x in ctx.elements() if cands is None else cands:
-        fx = _specialized_y_poly(fc, x, ctx)
-        gx = _specialized_y_poly(gc, x, ctx)
-        for y in _common_y_roots(fx, gx, ctx):
+        for y in _common_y_roots(y_poly_at(fc, x, ctx), y_poly_at(gc, x, ctx), ctx):
             yield (x, y)
 
 
@@ -342,21 +328,13 @@ def cond_h_certificate(query: ZeroDimQuery) -> CertResult:
     ctx = query.ctx
     d = query.dmax
     f, g = query.polys
-    if f.is_zero() or g.is_zero():
-        return CertResult("not_certified", -1, False)
     res = resultant_y_general(f, g, ctx)
-    if res is None or not res:
+    if not res:  # a zero polynomial, a shared factor, or both constant in Y
         return CertResult("not_certified", -1, False)
     deg = upoly_deg(res)
-    sqfree = is_squarefree(res, ctx) if res else False
-    fc = f.coeffs_in_last_var
-    gc = g.coeffs_in_last_var
-    gate = True
-    for cl in (fc, gc):
-        if len(cl) - 1 < 1:  # constant in Y
-            gate = False
-        elif upoly_deg(cl[-1]) != 0:  # leading Y-coefficient not constant
-            gate = False
+    sqfree = is_squarefree(res, ctx)
+    # each positive in Y with a constant leading Y-coefficient
+    gate = all(len(c) > 1 and upoly_deg(c[-1]) == 0 for c in (f.coeffs_in_last_var, g.coeffs_in_last_var))
     verdict = "certified" if (gate and deg == d * d and sqfree) else "not_certified"
     return CertResult(verdict, deg, sqfree)
 
@@ -375,12 +353,7 @@ def count_zeros_ext(query: ZeroDimQuery, e: int) -> int:
     if e == 1:
         return count_zeros(query)
     ext, embed, _ = lift_with_embedding(ctx, e)
-    if embed is None:
-        lifted = query.polys  # prime base: encodings agree
-    else:
-        lifted = tuple(
-            MPoly(f.nvars, tuple((exps, embed(c)) for exps, c in f.terms)) for f in query.polys
-        )
+    lifted = tuple(MPoly(f.nvars, tuple((exps, embed(c)) for exps, c in f.terms)) for f in query.polys)
     lifted_query = ZeroDimQuery(ext, query.s, lifted, query.dmax)
     return count_zeros(lifted_query)
 

@@ -6,6 +6,7 @@ from svsearch.errors import DomainError, UsageError
 from svsearch.ffield import LOG_TABLE_LIMIT, field_for_order, prime_field
 from svsearch.mpoly import (
     MPoly,
+    lift_with_embedding,
     monomial_row,
     monomials,
     rational_roots,
@@ -468,6 +469,22 @@ def test_resultant_general_conventions():
     assert resultant_y_general(MPoly.zero(2), g, c5) == ()
 
 
+@pytest.mark.parametrize("q,e", [(3, 2), (4, 3), (9, 2), (3, 1), (9, 1)])
+def test_lift_round_trips_every_base_element(q, e):
+    ctx = field_for_order(q)
+    ext, embed, unembed = lift_with_embedding(ctx, e)
+    assert ext.q == q ** e
+    assert all(unembed[embed(a)] == a for a in ctx.elements())
+    if e == 1 or ctx.k == 1:  # identities: constants keep their integer value
+        assert all(embed(a) == a for a in ctx.elements())
+    # the embedding is a ring map
+    ops = ext.ops
+    for a in ctx.elements():
+        for b in ctx.elements():
+            assert embed(ctx.add(a, b)) == ops.add(embed(a), embed(b))
+            assert embed(ctx.mul(a, b)) == ops.mul(embed(a), embed(b))
+
+
 def test_coeffs_in_last_var_is_computed_once_and_ignored_by_equality():
     c5 = prime_field(5)
     terms = [((2, 1), 3), ((0, 2), 1), ((1, 0), 4)]
@@ -491,8 +508,6 @@ def test_resultant_root_criterion_matches_extension_scan():
     # dual route for the vanishing criterion: a nonconstant gcd of the two
     # specialized univariates must mean a genuinely shared root in a small
     # extension, found by explicit scanning through the lift
-    from svsearch.mpoly import lift_with_embedding
-
     rng = RngStream(61, 0)
     for q in (2, 3, 5):
         ctx = field_for_order(q)
@@ -519,9 +534,8 @@ def test_resultant_root_criterion_matches_extension_scan():
                 scan_says = False
                 for e in range(1, emax + 1):
                     ext, embed, _ = lift_with_embedding(ctx, e)
-                    lift = (lambda c: c) if embed is None else embed
-                    fe = tuple(lift(c) for c in f0)
-                    ge = tuple(lift(c) for c in g0)
+                    fe = tuple(embed(c) for c in f0)
+                    ge = tuple(embed(c) for c in g0)
                     for y in ext.elements():
                         if upoly_eval(fe, y, ext) == 0 and upoly_eval(ge, y, ext) == 0:
                             scan_says = True

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -11,6 +12,7 @@ import svsearch
 from svsearch import zdsolve
 from svsearch.errors import CapacityError, UsageError
 from svsearch.ffield import field_for_order, prime_field
+from svsearch.mc import records_to_csv, run_experiment
 from svsearch.mpoly import MPoly, monomials, resultant_y
 from svsearch.sampler import RngStream
 from svsearch.zdsolve import (
@@ -219,6 +221,49 @@ def test_backend_agreement_degenerate(q):
         assert count_zeros(query, "resultant") == n, (q, name)
         assert find_zero(query, "exhaustive") == find_zero(query, "resultant"), (q, name)
 
+
+# (verdict, resultant_degree, squarefree) of every degenerate pair at
+# dmax = 3, as the certificate gave them before the degenerate cases were
+# folded into resultant_y_general; the same at every q in the test
+DEGENERATE_CERTIFICATES = {
+    "one_zero": ("not_certified", -1, False),
+    "both_zero": ("not_certified", -1, False),
+    "const_in_y_with_roots": ("not_certified", 4, False),
+    "const_in_y_without_roots": ("not_certified", 4, False),
+    "nonzero_constant": ("not_certified", 0, True),
+    "both_const_in_y_shared_root": ("not_certified", -1, False),
+    "both_const_in_y_no_shared_root": ("not_certified", -1, False),
+    "shared_factor": ("not_certified", -1, False),
+    "leading_y_coeffs_share_root": ("not_certified", 3, False),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_certificate_on_degenerate_pairs_is_pinned(q):
+    ctx = field_for_order(q)
+    pairs = degenerate_pairs(ctx)
+    assert pairs.keys() == DEGENERATE_CERTIFICATES.keys()
+    for name, (f, g) in pairs.items():
+        cert = cond_h_certificate(ZeroDimQuery(ctx, 2, (f, g), 3))
+        assert (cert.verdict, cert.resultant_degree, cert.squarefree) == DEGENERATE_CERTIFICATES[name], (q, name)
+
+
+# resultant-backend configs with certificates, (q, r, s, d, trials), and the
+# sha256 of their trials.csv at seed 2206, recorded before the degenerate
+# cases were folded into resultant_y_general
+@pytest.mark.parametrize(
+    "config,sha256",
+    [
+        ((1009, 4, 2, 3, 50), "d2f7d70089d087883b8454a22e728ee71c3e3eeac7ba1b0d0c38df6c3e8714c0"),
+        ((7, 4, 2, 3, 200), "3c867477ce7b0f10a8e62465812b6e93dd0f895350a126421f4490703c83da8d"),
+        ((9, 4, 2, 3, 200), "2574e095f360c7d846634138b5c361ac5c91eadf0a9189f51abea4e2680b8457"),
+        ((4, 4, 2, 2, 200), "0d54ae0277d3e39cab4e61227ae5c87c3ce8331d181f18e9d82fc77cfc7efaf5"),
+    ],
+    ids=["q1009", "q7-lifted-prime", "q9-lifted-extension", "q4"],
+)
+def test_resultant_trials_csv_bytes_are_pinned(config, sha256):
+    records, _ = run_experiment(*config, seed=2206, backend="resultant", want_certificates=True)
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == sha256
 
 def test_count_crosses_zero_chunks():
     # every cell is a zero, so the stream spans several slabs of the grid
