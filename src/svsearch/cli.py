@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, field_for_order
@@ -20,7 +21,7 @@ from .mpoly import MPoly
 from .mc import exhaustive_p1, exhaustive_sk, records_to_csv, run_experiment
 from .sampler import RngStream, SystemSpec, sample_system
 from .svs import run_svs
-from .theory import theory_report
+from .theory import fraction_text, theory_report
 from .zdsolve import BACKENDS, ZeroDimQuery, distinct_geometric_points
 
 EXIT_OK = 0
@@ -123,10 +124,8 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _jsonify(obj):
-    from fractions import Fraction
-
     if isinstance(obj, Fraction):
-        return str(obj)
+        return fraction_text(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

@@ -151,6 +151,13 @@ class MPoly:
         split = _split_plan(self.nvars, len(a), maxdeg)
         head = _row(a, maxdeg, mul)
         acc = [0] * len(monomials(self.nvars - len(a), maxdeg))
+        if ctx.k == 1:
+            # GF(p): sum the integer products, reduce each slot once
+            for exps, c in self.terms:
+                h, t = split[exps]
+                acc[t] += c * head[h]
+            p = ctx.p
+            return [v % p for v in acc]
         for exps, c in self.terms:
             h, t = split[exps]
             acc[t] = add(acc[t], mul(c, head[h]))
@@ -349,15 +356,19 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
         work, embed, unembed = lift_with_embedding(ctx, e)
         fc = [tuple(embed(c) for c in cj) for cj in fc]
         gc = [tuple(embed(c) for c in cj) for cj in gc]
-    lcf, lcg = fc[n], gc[m]
 
     xs: list[int] = []
     ys: list[int] = []
     for x in work.elements():
-        if upoly_eval(lcf, x, work) == 0 or upoly_eval(lcg, x, work) == 0:
+        # y_poly_at trims: a shorter image means a leading Y-coefficient vanishes at x
+        fy = y_poly_at(fc, x, work)
+        if len(fy) <= n:
+            continue
+        gy = y_poly_at(gc, x, work)
+        if len(gy) <= m:
             continue
         xs.append(x)
-        ys.append(upoly_resultant(y_poly_at(fc, x, work), y_poly_at(gc, x, work), work))
+        ys.append(upoly_resultant(fy, gy, work))
         if len(xs) == bound + 1:
             break
     if len(xs) < bound + 1:

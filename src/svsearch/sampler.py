@@ -9,6 +9,9 @@ worker-count independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, FMatrix
@@ -16,10 +19,19 @@ from .mpoly import MPoly, monomial_row, monomials
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # _mix64's multipliers
 
 Strip = tuple[int, ...]
 
 MAX_STRIPS = 1 << 20
+
+
+@lru_cache(maxsize=64)
+def _gamma_steps(count: int) -> np.ndarray:
+    """k * gamma mod 2^64 for k = 1..count: the state offsets of a block."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    steps.flags.writeable = False
+    return steps
 
 
 def _mix64(z: int) -> int:
@@ -56,6 +68,33 @@ class RngStream:
             u = self.next_u64()
             if u < limit:
                 return u % n
+
+    def below_block(self, n: int, count: int) -> list[int]:
+        """[self.next_below(n) for _ in range(count)], leaving the same state.
+
+        The k-th state after this one is state + k * gamma mod 2^64, so
+        the block is one uint64 array pass (arrays wrap silently where
+        numpy scalars would warn).  If any raw draw reaches the rejection
+        limit, which needs 2^64 mod n != 0 and has probability below 2^-33
+        per draw for n < 2^31, the whole block is redrawn by the scalar
+        path from the unchanged state.
+        """
+        if n <= 0:
+            raise UsageError("bound must be positive")
+        if n == 1 or count == 0:
+            return [0] * count
+        if n <= _M64:
+            limit = (1 << 64) - ((1 << 64) % n)
+            z = _gamma_steps(count) + np.uint64(self.state)
+            z ^= z >> 30
+            z *= _MIX1
+            z ^= z >> 27
+            z *= _MIX2
+            z ^= z >> 31
+            if int(z.max()) < limit:
+                self.state = (self.state + count * _GAMMA) & _M64
+                return (z % np.uint64(n)).tolist()
+        return [self.next_below(n) for _ in range(count)]
 
 
 @dataclass(frozen=True)
@@ -109,7 +148,7 @@ def sample_system(
     polys = []
     for _ in range(s):
         while True:
-            coeffs = [rng.next_below(q) for _ in range(len(exps))]
+            coeffs = rng.below_block(q, len(exps))
             if allow_zero or any(coeffs):
                 break
         # slots are in canonical order and hold field elements: no from_terms
@@ -122,7 +161,8 @@ def sample_strips(ctx: FieldCtx, m: int, h: int, rng: RngStream) -> list[Strip]:
 
     Strips are drawn one at a time with rejection on collision, so the
     first k outputs coincide with a call that asked for only k: budgets
-    can be extended without disturbing the prefix.
+    can be extended without disturbing the prefix.  The first m * h
+    coordinates, which that loop always consumes, come as one block.
     """
     if m < 1:
         raise UsageError("strips need at least one coordinate")
@@ -131,10 +171,16 @@ def sample_strips(ctx: FieldCtx, m: int, h: int, rng: RngStream) -> list[Strip]:
     if h > ctx.q ** m:
         raise DomainError(f"cannot draw {h} distinct strips from {ctx.q ** m}")
     q = ctx.q
+    block = rng.below_block(q, m * h)
     seen: set[Strip] = set()
     out: list[Strip] = []
+    pos = 0
     while len(out) < h:
-        cand = tuple(rng.next_below(q) for _ in range(m))
+        if pos < len(block):
+            cand = tuple(block[pos : pos + m])
+            pos += m
+        else:
+            cand = tuple(rng.next_below(q) for _ in range(m))
         if cand in seen:
             continue
         seen.add(cand)

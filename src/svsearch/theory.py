@@ -8,12 +8,13 @@ it outward keeps every interval a true enclosure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, log2
 from typing import NamedTuple
 
-from .errors import DomainError, UsageError
+from .errors import CapacityError, DomainError, UsageError
 from .ffield import prime_power
 
 STIRLING_CAP = 20
@@ -21,6 +22,16 @@ UL_CAP = 32
 
 # rational upper bound on e: sum_{k<=45} 1/k! plus a tail dominator
 E_UPPER: Fraction = sum(Fraction(1, factorial(k)) for k in range(46)) + Fraction(2, factorial(46))
+
+
+def fraction_text(x: Fraction) -> str:
+    """str(x), refused with CapacityError, not ValueError, when the
+    numerator or denominator has more digits than the interpreter will
+    convert (`sys.get_int_max_str_digits`)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # absent, and no limit, before 3.10.7
+    if limit and max(abs(x.numerator), x.denominator) >= 10**limit:
+        raise CapacityError(f"a number in the report has more than {limit} digits")
+    return str(x)
 
 
 def _odd_order(d: int) -> int:
@@ -125,10 +136,10 @@ class BoundInterval:
     def as_dict(self) -> dict:
         return {
             "tag": self.tag,
-            "center": str(self.center),
-            "radius": str(self.radius),
-            "lower": str(self.lower),
-            "upper": str(self.upper),
+            "center": fraction_text(self.center),
+            "radius": fraction_text(self.radius),
+            "lower": fraction_text(self.lower),
+            "upper": fraction_text(self.upper),
             "center_float": float(self.center),
             "lower_float": float(self.lower),
             "upper_float": float(self.upper),
@@ -262,9 +273,9 @@ class ExpectedStripsBound:
 
     def as_dict(self) -> dict:
         return {
-            "value": str(self.value),
+            "value": fraction_text(self.value),
             "value_float": float(self.value),
-            "o_tail": str(self.o_tail),
+            "o_tail": fraction_text(self.o_tail),
             "o_tail_float": float(self.o_tail),
             "hypotheses": dict(self.hypotheses),
             "hypotheses_ok": self.hypotheses_ok,
@@ -442,15 +453,15 @@ def theory_report(q: int, r: int, s: int, d: int, hmax: int | None = None, omega
     report = {
         "parameters": {"q": q, "r": r, "s": s, "d": d, "hstar": hstar, "omega": omega},
         "coeff_slots": comb(d + r, r),
-        "mu_table": {str(m): {"fraction": str(mu(m)), "float": float(mu(m))} for m in range(1, max(d + 2, 11))},
+        "mu_table": {str(m): {"fraction": fraction_text(mu(m)), "float": float(mu(m))} for m in range(1, max(d + 2, 11))},
         "strip_sums": {
-            "alt_d": str(sums_d.alt),
+            "alt_d": fraction_text(sums_d.alt),
             "alt_d_float": float(sums_d.alt),
-            "alt_d1": str(sums_d1.alt),
+            "alt_d1": fraction_text(sums_d1.alt),
             "alt_d1_float": float(sums_d1.alt),
-            "tail_d1": str(sums_d1.tail),
+            "tail_d1": fraction_text(sums_d1.tail),
             "tail_d1_float": float(sums_d1.tail),
-            "plus_d1": str(sums_d1.plus),
+            "plus_d1": fraction_text(sums_d1.plus),
             "plus_d1_float": float(sums_d1.plus),
         },
         "first_strip": first_strip_bounds(q, s, d).as_dict(),
@@ -464,7 +475,7 @@ def theory_report(q: int, r: int, s: int, d: int, hmax: int | None = None, omega
         "failure": failure_bound(q, r, s, d).as_dict(),
         "expected_strips": exp_bound.as_dict(),
         "certified_rate_lower": {
-            "fraction": str(cert_rate_lower_bound(q, s, d)),
+            "fraction": fraction_text(cert_rate_lower_bound(q, s, d)),
             "float": float(cert_rate_lower_bound(q, s, d)),
         },
         "complexity": {"tau_gb": tau_gb, "tau_k": tau_k},

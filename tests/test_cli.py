@@ -262,6 +262,13 @@ def test_theory_command(capsys):
     assert any(abs(v["float"] - 0.6321) < 1e-3 for v in rep["mu_table"].values())
 
 
+def test_theory_number_past_digit_limit_is_capacity(capsys):
+    # at q = 10^9 + 7, d = 60 a Fraction has more digits than str() converts
+    code, out, err = run_cli(capsys, "theory", "--q", "1000000007", "--r", "5", "--s", "2", "--d", "60")
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svsearch.errors import DomainError, UsageError
@@ -180,9 +180,11 @@ def ref_specialize(f, a, ctx):
     return MPoly(f.nvars - m, tuple((e, c) for e, c in ordered if c))
 
 
-# q = 2^17 is above LOG_TABLE_LIMIT: digit arithmetic, not log tables
-SLOT_FIELDS = {q: field_for_order(q) for q in (7, 8, 9, 1 << 17)}
-assert max(SLOT_FIELDS) > LOG_TABLE_LIMIT
+# q = 2^17 is above LOG_TABLE_LIMIT: digit arithmetic, not log tables.
+# Prime fields sum integer products per slot before one reduction; at
+# p = 2^31 - 1 a slot's sum can pass 2^64.
+SLOT_FIELDS = {q: field_for_order(q) for q in (7, 8, 9, 1009, 2**31 - 1, 1 << 17)}
+assert any(c.k > 1 and c.q > LOG_TABLE_LIMIT for c in SLOT_FIELDS.values())
 
 
 @st.composite
@@ -216,8 +218,14 @@ def poly_and_point(draw):
     return ctx, MPoly.from_terms(nvars, items, ctx), point
 
 
+P31 = SLOT_FIELDS[2**31 - 1]
+# every term is (p - 1) * (+-1) before reduction: 35 of them sum past 2^64
+DENSE_P31 = MPoly.from_terms(4, [(e, P31.q - 1) for e in monomials(4, 3)], P31)
+
+
 @settings(max_examples=300, deadline=None)
 @given(poly_and_point())
+@example((P31, DENSE_P31, (P31.q - 1,) * 4))
 def test_slot_plans_match_references(case):
     ctx, f, point = case
     assert f.evaluate(point, ctx) == ref_evaluate(f, point, ctx)

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svsearch.errors import DomainError, UsageError
 from svsearch.ffield import field_for_order, matrix_rank, prime_field
@@ -33,6 +35,31 @@ def test_next_below_bounds():
             assert 0 <= rng.next_below(n) < n
     with pytest.raises(UsageError):
         rng.next_below(0)
+
+
+# 2^63 + 1 rejects about half of all raw draws, so it forces the scalar path
+BLOCK_BOUNDS = (1, 2, 3, 31, 256, 1009, 2**31 - 1, 2**32, 2**63 + 1, 2**64 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream_id=st.integers(0, 2**64 - 1),
+    n=st.sampled_from(BLOCK_BOUNDS),
+    count=st.integers(0, 200),
+)
+def test_below_block_equals_scalar_draws(seed, stream_id, n, count):
+    block, scalar = RngStream(seed, stream_id), RngStream(seed, stream_id)
+    assert block.below_block(n, count) == [scalar.next_below(n) for _ in range(count)]
+    assert block.state == scalar.state
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_below_block_types_and_bad_bound():
+    rng = RngStream(4, 2)
+    assert all(type(v) is int for v in rng.below_block(31, 10))
+    with pytest.raises(UsageError):
+        rng.below_block(0, 3)
 
 
 def test_sample_system_shape_and_determinism():
@@ -110,6 +137,27 @@ def test_sample_strips_distinct_and_exhaustive_tiny():
     assert sorted(strips) == [(0,), (1,)]
     with pytest.raises(DomainError):
         sample_strips(ctx, 1, 3, RngStream(5, 0))
+
+
+def scalar_sample_strips(q, m, h, rng):
+    """The one-draw-at-a-time loop that sample_strips must reproduce."""
+    seen, out = set(), []
+    while len(out) < h:
+        cand = tuple(rng.next_below(q) for _ in range(m))
+        if cand not in seen:
+            seen.add(cand)
+            out.append(cand)
+    return out
+
+
+@pytest.mark.parametrize("q,m,h", [(2, 2, 3), (3, 1, 3), (2, 2, 4), (31, 3, 4)])
+def test_sample_strips_equals_scalar_reference(q, m, h):
+    # at q^m <= 4 most streams collide, so the scalar tail after the block runs
+    ctx = prime_field(q)
+    for t in range(1000):
+        rng, ref = RngStream(31337, t), RngStream(31337, t)
+        assert sample_strips(ctx, m, h, rng) == scalar_sample_strips(q, m, h, ref)
+        assert rng.state == ref.state
 
 
 def test_sample_strips_prefix_consistency():

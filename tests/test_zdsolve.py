@@ -11,7 +11,7 @@ import pytest
 import svsearch
 from svsearch import zdsolve
 from svsearch.errors import CapacityError, UsageError
-from svsearch.ffield import field_for_order, prime_field
+from svsearch.ffield import LOG_TABLE_LIMIT, field_for_order, prime_field
 from svsearch.mc import records_to_csv, run_experiment
 from svsearch.mpoly import MPoly, monomials, resultant_y
 from svsearch.sampler import RngStream
@@ -296,6 +296,17 @@ def test_find_zero_grid_order_deterministic():
     q = ZeroDimQuery(c5, 2, (f, g), 2)
     assert find_zero(q) == (1, 1)
     assert find_zero(q, "resultant") == (1, 1)
+
+
+@pytest.mark.parametrize("q", [1 << 17, 3**11])
+def test_find_zero_digit_arithmetic_above_table_limit(q):
+    # extension fields above LOG_TABLE_LIMIT take _zeros_exhaustive's
+    # point-by-point branch; find_zero stops at the first zero
+    ctx = field_for_order(q)
+    assert ctx.k > 1 and q > LOG_TABLE_LIMIT
+    a, b = 3, 5
+    f = P(1, [((2,), 1), ((1,), ctx.neg(ctx.add(a, b))), ((0,), ctx.mul(a, b))], ctx)
+    assert find_zero(ZeroDimQuery(ctx, 1, (f,), 2)) == (a,)
 
 
 def test_certificate_examples():
