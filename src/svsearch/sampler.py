@@ -9,7 +9,6 @@ worker-count independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,14 +23,6 @@ _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # _
 Strip = tuple[int, ...]
 
 MAX_STRIPS = 1 << 20
-
-
-@lru_cache(maxsize=64)
-def _gamma_steps(count: int) -> np.ndarray:
-    """k * gamma mod 2^64 for k = 1..count: the state offsets of a block."""
-    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    steps.flags.writeable = False
-    return steps
 
 
 def _mix64(z: int) -> int:
@@ -85,7 +76,8 @@ class RngStream:
             return [0] * count
         if n <= _M64:
             limit = (1 << 64) - ((1 << 64) % n)
-            z = _gamma_steps(count) + np.uint64(self.state)
+            z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+            z += np.uint64(self.state)
             z ^= z >> 30
             z *= _MIX1
             z ^= z >> 27
@@ -161,8 +153,7 @@ def sample_strips(ctx: FieldCtx, m: int, h: int, rng: RngStream) -> list[Strip]:
 
     Strips are drawn one at a time with rejection on collision, so the
     first k outputs coincide with a call that asked for only k: budgets
-    can be extended without disturbing the prefix.  The first m * h
-    coordinates, which that loop always consumes, come as one block.
+    can be extended without disturbing the prefix.
     """
     if m < 1:
         raise UsageError("strips need at least one coordinate")
@@ -171,16 +162,10 @@ def sample_strips(ctx: FieldCtx, m: int, h: int, rng: RngStream) -> list[Strip]:
     if h > ctx.q ** m:
         raise DomainError(f"cannot draw {h} distinct strips from {ctx.q ** m}")
     q = ctx.q
-    block = rng.below_block(q, m * h)
     seen: set[Strip] = set()
     out: list[Strip] = []
-    pos = 0
     while len(out) < h:
-        if pos < len(block):
-            cand = tuple(block[pos : pos + m])
-            pos += m
-        else:
-            cand = tuple(rng.next_below(q) for _ in range(m))
+        cand = tuple(rng.next_below(q) for _ in range(m))
         if cand in seen:
             continue
         seen.add(cand)

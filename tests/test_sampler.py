@@ -152,7 +152,7 @@ def scalar_sample_strips(q, m, h, rng):
 
 @pytest.mark.parametrize("q,m,h", [(2, 2, 3), (3, 1, 3), (2, 2, 4), (31, 3, 4)])
 def test_sample_strips_equals_scalar_reference(q, m, h):
-    # at q^m <= 4 most streams collide, so the scalar tail after the block runs
+    # at q^m <= 4 most streams collide, so the redraws after a collision run
     ctx = prime_field(q)
     for t in range(1000):
         rng, ref = RngStream(31337, t), RngStream(31337, t)
