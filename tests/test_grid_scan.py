@@ -210,8 +210,11 @@ def test_streams_sharing_an_evaluator_do_not_leak():
         (np.float32, (1009, 4, 2, 3, 20, 2206), "8f140a57720de420ae8bd6e33de70316f61b3a0ff8c015854dcc4f907e779ad5"),
         (np.float64, (4093, 3, 2, 3, 5, 2206), "98e68ca3237b42646263953bc7b83b8abc00a1f6160e8d740282c2294734a028"),
         (None, (256, 5, 2, 3, 20, 2206), "2366e60e5f5dc51764a4fd36ec14c21c813f9d8e17ff12cb717b1a15e30c1012"),
+        # recorded before the trial path moved to one slot array per system
+        (np.float32, (31, 5, 2, 3, 50, 2206), "7a812fc3225bc726aaefe56581e48e7a03b13e3b2893418ff4e5dc94cf46bc0c"),
+        (np.float32, (67, 4, 3, 2, 10, 2206), "31d62a62cf3f06361375779fb3ad489ed0703b8864a4a193f4d6a10659ea20c5"),
     ],
-    ids=["float32", "float64", "log"],
+    ids=["float32", "float64", "log", "small", "s3"],
 )
 def test_trials_csv_bytes_are_pinned(path, config, sha256):
     q, r, s, d, trials, seed = config
