@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from multiprocessing import Pool
 
 from .errors import CapacityError, UsageError
 from .ffield import FieldCtx, FMatrix, field_for_order, matrix_rank
-from .mpoly import monomial_row
+from .mpoly import check_slots, monomial_row
 from .sampler import RngStream, Strip, m_matrix, sample_system
 from .svs import run_svs
 from .theory import (
@@ -203,7 +204,9 @@ def run_experiment(
     """N independent searches on fresh random systems, plus the scorecard.
 
     Returns the per-trial records (trial_id order) and a summary document
-    that sets every estimate against its bound interval.
+    that sets every estimate against its bound interval.  workers is
+    clamped to the trial count and the CPU count; with one left, the
+    trials run in this process and no pool is built.
     """
     if n_trials < 1:
         raise UsageError("need at least one trial")
@@ -212,7 +215,9 @@ def run_experiment(
     if workers < 1:
         raise UsageError(f"need at least one worker, got {workers}")
     ctx = field_for_order(q)
+    check_slots(r, d)  # before any pool
     hstar = hstar if hstar is not None else r - s + 1
+    workers = min(workers, n_trials, os.cpu_count() or 1)  # records do not depend on the count
     t0 = time.monotonic()
     jobs = [
         (trial_offset + t, seed, ctx, r, s, d, hstar, backend, want_certificates)

@@ -12,6 +12,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
+
+import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, extension_field
@@ -36,6 +39,25 @@ from .upoly import (
 ExpVec = tuple[int, ...]
 
 LIFT_TABLE_LIMIT = 1 << 16  # largest extension base whose element table lift_with_embedding builds
+SLOT_LIMIT = 1 << 16  # most coefficient slots, C(r + d, r), a system's polynomials may have
+
+
+def check_slots(nvars: int, maxdeg: int) -> int:
+    """len(monomials(nvars, maxdeg)) = C(nvars + maxdeg, nvars), computed
+    without enumerating; CapacityError above SLOT_LIMIT.
+
+    C(a + k, k) grows with k, so the product stops within a few steps
+    once it passes the cap, however large nvars and maxdeg are.
+    """
+    if nvars < 0 or maxdeg < 0:
+        raise UsageError(f"need a nonnegative variable count and degree, got {nvars} and {maxdeg}")
+    a, b = max(nvars, maxdeg), min(nvars, maxdeg)
+    n = 1
+    for k in range(1, b + 1):
+        n = n * (a + k) // k
+        if n > SLOT_LIMIT:
+            raise CapacityError(f"C({nvars + maxdeg}, {nvars}) coefficient slots exceed the 2^16 cap")
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -43,8 +65,10 @@ def monomials(nvars: int, maxdeg: int) -> tuple[ExpVec, ...]:
     """All exponent vectors of total degree <= maxdeg, graded-lex descending.
 
     This fixed order defines both the canonical term order and the
-    coefficient slot order used when sampling random systems.
+    coefficient slot order used when sampling random systems.  Refuses
+    more than SLOT_LIMIT of them before enumerating.
     """
+    check_slots(nvars, maxdeg)
     out: list[ExpVec] = []
 
     def rec_exact(prefix: list[int], remaining: int, slots: int) -> None:
@@ -80,10 +104,16 @@ def _row_plan(nvars: int, maxdeg: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(plan)
 
 
-def _row(point, maxdeg: int, mul) -> list[int]:
+def _row(point, maxdeg: int, ctx: FieldCtx) -> list[int]:
     """monomial_row without the element checks."""
     plan = _row_plan(len(point), maxdeg)
     row = [1] * (len(plan) + 1)
+    if ctx.k == 1:  # one product and one reduction, without a call
+        p = ctx.p
+        for i, parent, var in plan:
+            row[i] = row[parent] * point[var] % p
+        return row
+    mul = ctx.ops.mul
     for i, parent, var in plan:
         row[i] = mul(row[parent], point[var])
     return row
@@ -91,19 +121,88 @@ def _row(point, maxdeg: int, mul) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _split_plan(nvars: int, m: int, maxdeg: int) -> dict[ExpVec, tuple[int, int]]:
-    """(head slot, tail slot) of every exponent vector of degree <= maxdeg:
-    the slot of its first m exponents in `monomials(m, maxdeg)` and of the
-    rest in `monomials(nvars - m, maxdeg)`."""
+    """(head slot, tail slot) of every exponent vector of degree <= maxdeg,
+    in `monomials(nvars, maxdeg)` order: the slot of its first m exponents
+    in `monomials(m, maxdeg)` and of the rest in `monomials(nvars - m, maxdeg)`."""
     heads = {e: i for i, e in enumerate(monomials(m, maxdeg))}
     tails = {e: i for i, e in enumerate(monomials(nvars - m, maxdeg))}
     return {e: (heads[e[:m]], tails[e[m:]]) for e in monomials(nvars, maxdeg)}
+
+
+@lru_cache(maxsize=None)
+def _gather_plan(nvars: int, m: int, maxdeg: int, rows: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """`_split_plan` as arrays for `rows` stacked slot rows: the head slot
+    of every slot, the bincount bin (row * tails + tail slot) of every
+    entry, and the tail count."""
+    split = np.array(list(_split_plan(nvars, m, maxdeg).values()), dtype=np.intp).reshape(-1, 2)
+    ntails = len(monomials(nvars - m, maxdeg))
+    bins = (split[:, 1] + ntails * np.arange(rows)[:, None]).ravel()
+    return split[:, 0], bins, ntails
+
+
+@lru_cache(maxsize=None)
+def _slot_index(nvars: int, maxdeg: int) -> dict[ExpVec, int]:
+    return {e: i for i, e in enumerate(monomials(nvars, maxdeg))}
+
+
+def slot_array(polys, maxdeg: int) -> np.ndarray:
+    """Coefficients of polys by slot of `monomials(nvars, maxdeg)`, one
+    int64 row per polynomial; every degree must be <= maxdeg."""
+    index = _slot_index(polys[0].nvars, maxdeg)
+    rows = []
+    for f in polys:
+        row = [0] * len(index)
+        for exps, c in f.terms:
+            row[index[exps]] = c
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(polys), len(index))
+
+
+def substitute(polys, a, ctx: FieldCtx, maxdeg: int, coeffs: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of every polynomial in polys with its first len(a)
+    variables set to a: one row per polynomial, by slot of
+    `monomials(nvars - len(a), maxdeg)`.  Every degree must be <= maxdeg.
+
+    The head row, the monomials of the first len(a) variables at a, is
+    built once for all of them.  Over GF(p) the result is an int64 array
+    computed from coeffs, the polys' `slot_array` over
+    `monomials(nvars, maxdeg)` (derived from the terms when not given):
+    each coefficient times its head value is below p^2 < 2^62 and is
+    reduced before the tail sums, which then stay below
+    SLOT_LIMIT * p < 2^47 (`monomials` enumerates no more slots), so
+    bincount's float64 sums are exact.  Over GF(p^k) each polynomial's
+    terms add up through the op table, into an object array.
+    """
+    for x in a:
+        ctx.check(x)
+    nvars, m = polys[0].nvars, len(a)
+    head = _row(a, maxdeg, ctx)
+    if ctx.k == 1:
+        if coeffs is None:
+            coeffs = slot_array(polys, maxdeg)
+        heads, bins, ntails = _gather_plan(nvars, m, maxdeg, len(polys))
+        prod = coeffs * np.array(head, dtype=np.int64)[heads]
+        prod %= ctx.p
+        sums = np.bincount(bins, weights=prod.ravel(), minlength=len(polys) * ntails)
+        return sums.astype(np.int64).reshape(len(polys), ntails) % ctx.p
+    add, mul = ctx.ops.add, ctx.ops.mul
+    split = _split_plan(nvars, m, maxdeg)
+    ntails = len(monomials(nvars - m, maxdeg))
+    rows = []
+    for f in polys:
+        acc = [0] * ntails
+        for exps, c in f.terms:
+            h, t = split[exps]
+            acc[t] = add(acc[t], mul(c, head[h]))
+        rows.append(acc)
+    return np.array(rows, dtype=object).reshape(len(polys), ntails)
 
 
 def monomial_row(point: tuple[int, ...], maxdeg: int, ctx: FieldCtx) -> list[int]:
     """Values at point of every monomial of degree <= maxdeg, in `monomials` order."""
     for x in point:
         ctx.check(x)
-    return _row(point, maxdeg, ctx.ops.mul)
+    return _row(point, maxdeg, ctx)
 
 
 def term_sort_key(exps: ExpVec) -> tuple[int, ExpVec]:
@@ -141,41 +240,23 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _substitute(self, a, ctx: FieldCtx) -> list[int]:
-        """Coefficients of self with its first len(a) variables set to a,
-        by slot of `monomials(nvars - len(a), max(degree, 0))`."""
-        for x in a:
-            ctx.check(x)
-        add, mul = ctx.ops.add, ctx.ops.mul
-        maxdeg = max(self.degree, 0)
-        split = _split_plan(self.nvars, len(a), maxdeg)
-        head = _row(a, maxdeg, mul)
-        acc = [0] * len(monomials(self.nvars - len(a), maxdeg))
-        if ctx.k == 1:
-            # GF(p): sum the integer products, reduce each slot once
-            for exps, c in self.terms:
-                h, t = split[exps]
-                acc[t] += c * head[h]
-            p = ctx.p
-            return [v % p for v in acc]
-        for exps, c in self.terms:
-            h, t = split[exps]
-            acc[t] = add(acc[t], mul(c, head[h]))
-        return acc
+    @staticmethod
+    def from_slots(nvars: int, maxdeg: int, coeffs) -> "MPoly":
+        """The polynomial with these field elements (Python ints) by slot of
+        `monomials(nvars, maxdeg)`, whose order is the canonical term order."""
+        return MPoly(nvars, tuple(zip(compress(monomials(nvars, maxdeg), coeffs), filter(None, coeffs))))
 
     def evaluate(self, point, ctx: FieldCtx) -> int:
         if len(point) != self.nvars:
             raise UsageError(f"point has {len(point)} coordinates, polynomial has {self.nvars}")
-        return self._substitute(point, ctx)[0]  # the one slot of monomials(0, d)
+        return int(substitute((self,), point, ctx, max(self.degree, 0))[0, 0])  # the one slot of monomials(0, d)
 
     def specialize(self, a, ctx: FieldCtx) -> "MPoly":
         """Substitute the first len(a) variables by the values in a."""
-        m = len(a)
-        if m >= self.nvars:
+        if len(a) >= self.nvars:
             raise UsageError("specialize must leave at least one variable")
-        tails = monomials(self.nvars - m, max(self.degree, 0))
-        # slot order is the canonical term order
-        return MPoly(self.nvars - m, tuple((e, c) for e, c in zip(tails, self._substitute(a, ctx)) if c))
+        maxdeg = max(self.degree, 0)
+        return MPoly.from_slots(self.nvars - len(a), maxdeg, substitute((self,), a, ctx, maxdeg)[0].tolist())
 
     @cached_property
     def coeffs_in_last_var(self) -> tuple[UPoly, ...]:

@@ -8,13 +8,13 @@ worker-count independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, FMatrix
-from .mpoly import MPoly, monomial_row, monomials
+from .mpoly import MPoly, check_slots, monomial_row, monomials, slot_array
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -91,19 +91,27 @@ class RngStream:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """An input instance: s polynomials of degree <= d in r variables."""
+    """An input instance: s polynomials of degree <= d in r variables.
+
+    Over GF(p), slots holds the coefficients of all s polynomials as one
+    (s x C(r + d, r)) int64 array by slot of `monomials(r, d)`, derived
+    from the terms when not given; substitution reads it.  It is None
+    over GF(p^k), whose substitution walks the terms.
+    """
 
     ctx: FieldCtx
     r: int
     s: int
     d: int
     polys: tuple[MPoly, ...]
+    slots: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 < self.s < self.r:
             raise UsageError(f"need 1 < s < r, got s={self.s}, r={self.r}")
         if self.d < 2:
             raise UsageError(f"degree bound must be >= 2, got {self.d}")
+        nslots = check_slots(self.r, self.d)
         if len(self.polys) != self.s:
             raise UsageError(f"expected {self.s} polynomials, got {len(self.polys)}")
         for f in self.polys:
@@ -111,11 +119,16 @@ class SystemSpec:
                 raise UsageError("polynomial variable count does not match r")
             if f.degree > self.d:
                 raise UsageError("polynomial degree exceeds the bound d")
+        if self.slots is None:
+            if self.ctx.k == 1:
+                object.__setattr__(self, "slots", slot_array(self.polys, self.d))
+        elif self.slots.shape != (self.s, nslots):
+            raise UsageError(f"slot array of shape {self.slots.shape}, expected {(self.s, nslots)}")
 
     @property
     def coeff_slots(self) -> int:
         """Number of coefficient slots per polynomial."""
-        return len(monomials(self.r, self.d))
+        return check_slots(self.r, self.d)
 
     @property
     def hstar(self) -> int:
@@ -135,17 +148,17 @@ def sample_system(
         raise UsageError(f"need 1 < s < r, got s={s}, r={r}")
     if d < 2:
         raise UsageError(f"degree bound must be >= 2, got {d}")
-    exps = monomials(r, d)
-    q = ctx.q
-    polys = []
+    nslots = check_slots(r, d)
+    blocks = []
     for _ in range(s):
         while True:
-            coeffs = rng.below_block(q, len(exps))
+            coeffs = rng.below_block(ctx.q, nslots)
             if allow_zero or any(coeffs):
                 break
-        # slots are in canonical order and hold field elements: no from_terms
-        polys.append(MPoly(r, tuple((e, c) for e, c in zip(exps, coeffs) if c)))
-    return SystemSpec(ctx, r, s, d, tuple(polys))
+        blocks.append(coeffs)
+    # slots are in canonical order and hold field elements: no from_terms
+    polys = tuple(MPoly.from_slots(r, d, coeffs) for coeffs in blocks)
+    return SystemSpec(ctx, r, s, d, polys, np.array(blocks, dtype=np.int64) if ctx.k == 1 else None)
 
 
 def sample_strips(ctx: FieldCtx, m: int, h: int, rng: RngStream) -> list[Strip]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +21,17 @@ import numpy as np
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx
 # resultant_y is not called here: perfbench/tracing.py looks it up on this module by name
-from .mpoly import MPoly, lift_with_embedding, monomials, rational_roots, resultant_y, resultant_y_general, y_poly_at
+from .mpoly import (
+    MPoly,
+    lift_with_embedding,
+    monomials,
+    rational_roots,
+    resultant_y,
+    resultant_y_general,
+    slot_array,
+    substitute,
+    y_poly_at,
+)
 from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked
 
 GRID_LIMIT = 1 << 24
@@ -29,12 +39,19 @@ GRID_LIMIT = 1 << 24
 
 @dataclass(frozen=True)
 class ZeroDimQuery:
-    """s polynomials in s variables with a degree bound."""
+    """s polynomials in s variables with a degree bound.
+
+    slots, when given, holds the same polynomials by slot of
+    `monomials(s, dmax)`, one row each, as `substitute` returns them on a
+    strip; the prime-field grid and the re-check read it instead of
+    deriving it from the terms.
+    """
 
     ctx: FieldCtx
     s: int
     polys: tuple[MPoly, ...]
     dmax: int
+    slots: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.s < 1:
@@ -46,6 +63,8 @@ class ZeroDimQuery:
                 raise UsageError("polynomial variable count must equal s")
             if f.degree > self.dmax:
                 raise UsageError("polynomial degree exceeds dmax")
+        if self.slots is not None and self.slots.shape != (self.s, len(monomials(self.s, self.dmax))):
+            raise UsageError(f"slot array of shape {self.slots.shape} does not match s and dmax")
 
 
 @dataclass(frozen=True)
@@ -86,9 +105,10 @@ class _GridEval:
     row-major index in [0, q^(s-1)), and the cell's flat index is
     prefix*q + x.  Grouping terms by their head, the exponents of the
     prefix, f = sum over heads h of prefix^h * line_h(x).  `head` holds
-    prefix^h at every prefix (q^(s-1) x H) and `lines(f)` every line_h at
-    every x (H x q).  A slab is `rows` whole lines, about 2^16 cells over
-    GF(p) and 2^14 in the log domain.
+    prefix^h at every prefix (q^(s-1) x H).  Every line_h at every x
+    (H x q) comes from `slot_lines` over GF(p), for all polynomials at
+    once, and from `lines(f)` over GF(p^k).  A slab is `rows` whole
+    lines, about 2^16 cells over GF(p) and 2^14 in the log domain.
 
     Over GF(p) both are residues in the float type `_exact_float` picks,
     with m significand bits, so a slab, one matmul into a buffer the
@@ -117,6 +137,9 @@ class _GridEval:
             self.tab = np.ones((maxdeg + 1, q), dtype=np.int64)  # x^e
             for e in range(1, maxdeg + 1):
                 self.tab[e] = self.tab[e - 1] * xs % ctx.p
+            # the (head, last exponent) cell of every slot of monomials(s, maxdeg)
+            cells = [(self.heads[e[:-1]], e[-1]) for e in monomials(s, maxdeg)]
+            self._slot_cells = tuple(np.array(cells, dtype=np.intp).T)
         else:
             tabs = ctx.log_tables
             order = q - 1
@@ -152,13 +175,16 @@ class _GridEval:
         total = self.exp[la + self.zech[diff]]
         return np.where(a == 0, b, np.where(b == 0, a, total))
 
+    def slot_lines(self, slots: np.ndarray) -> np.ndarray:
+        """Over GF(p): line_h(x) of every polynomial in slots (one row each by
+        slot of `monomials(s, maxdeg)`) for every head h and every x, as an
+        n x H x q array."""
+        cmat = np.zeros((len(slots), len(self.heads), len(self.tab)), dtype=np.int64)
+        cmat[(slice(None), *self._slot_cells)] = slots
+        return (cmat @ self.tab % self.p).astype(self.dtype)
+
     def lines(self, f: MPoly) -> np.ndarray:
-        """line_h(x) of f for every head h and every x, as an H x q array."""
-        if self.prime:
-            cmat = np.zeros((len(self.heads), len(self.tab)), dtype=np.int64)
-            for exps, c in f.terms:
-                cmat[self.heads[exps[:-1]], exps[-1]] = c
-            return (cmat @ self.tab % self.p).astype(self.dtype)
+        """Over GF(p^k): line_h(x) of f for every head h and every x, as an H x q array of logs."""
         vals = np.zeros((len(self.heads), self.q), dtype=np.int32)
         for exps, c in f.terms:
             h = self.heads[exps[:-1]]
@@ -214,14 +240,19 @@ def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
     q, s = ctx.q, query.s
     if q ** s > GRID_LIMIT:
         raise CapacityError(f"grid of {q ** s} points exceeds 2^24")
-    polys = sorted(query.polys, key=MPoly.is_zero)  # a zero polynomial imposes nothing: last
     if ctx.k > 1 and ctx.q > LOG_TABLE_LIMIT:
         for point in itertools.product(ctx.elements(), repeat=s):
-            if all(f.evaluate(point, ctx) == 0 for f in polys):
+            if not substitute(query.polys, point, ctx, query.dmax).any():
                 yield point
         return
-    grid = _grid_eval(ctx, s, max(0, *(f.degree for f in polys)))
-    first, *rest = [grid.lines(f) for f in polys]
+    grid = _grid_eval(ctx, s, query.dmax)
+    if grid.prime:
+        slots = query.slots if query.slots is not None else slot_array(query.polys, query.dmax)
+        lines = grid.slot_lines(slots)
+    else:
+        lines = [grid.lines(f) for f in query.polys]
+    # a zero polynomial imposes nothing: last
+    first, *rest = [lines[i] for i in sorted(range(s), key=lambda i: query.polys[i].is_zero())]
     prefixes, step = q ** (s - 1), grid.rows
     for lo in range(0, prefixes, step):
         cells = lo * q + np.flatnonzero(grid.zero(grid.slab(first, lo, min(lo + step, prefixes))))
@@ -300,11 +331,8 @@ def find_zero(query: ZeroDimQuery, backend: str = "exhaustive") -> tuple[int, ..
     against all polynomials before being handed back.
     """
     point = next(_zeros(query, backend), None)
-    if point is not None:
-        ctx = query.ctx
-        for f in query.polys:
-            if f.evaluate(point, ctx) != 0:
-                raise AssertionError(f"backend {backend} returned a non-zero: {point}")
+    if point is not None and substitute(query.polys, point, query.ctx, query.dmax, query.slots).any():
+        raise AssertionError(f"backend {backend} returned a non-zero: {point}")
     return point
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -217,6 +218,30 @@ def test_solve_capacity_exit_code(capsys, tmp_path):
     path = make_system_file(tmp_path, doc)
     code, _, err = run_cli(capsys, "solve", "--system", path, "--seed", "0")
     assert code == 3 and "capacity" in err
+
+
+SLOT_CAP_PROBES = {
+    "gen_r12_d12": ["gen", "--q", "31", "--r", "12", "--s", "2", "--d", "12", "--seed", "1"],
+    "gen_r40_d40": ["gen", "--q", "31", "--r", "40", "--s", "2", "--d", "40", "--seed", "1"],
+    "experiment_r12_d12": ["experiment", "--q", "31", "--r", "12", "--s", "2", "--d", "12",
+                           "--trials", "2", "--seed", "1", "--workers", "2"],
+    "solve_file_r12_d12": ["solve", "--seed", "0"],
+    "count_points_file_r12_d12": ["oracle", "count-points", "--strip", "0,0,0,0,0,0,0,0,0,0"],
+}
+
+
+@pytest.mark.parametrize("probe", sorted(SLOT_CAP_PROBES))
+def test_slot_cap_is_capacity_within_a_second(capsys, tmp_path, probe):
+    # C(24, 12) = 2.7M slots per polynomial: refused before monomials(12, 12) enumerates
+    argv = SLOT_CAP_PROBES[probe] + ["--out", str(tmp_path / "out")] * probe.startswith("experiment")
+    if "file" in probe:
+        doc = {"q": 31, "r": 12, "s": 2, "d": 12, "polynomials": [[{"c": 1, "e": [12] + [0] * 11}], []]}
+        argv += ["--system", make_system_file(tmp_path, doc)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:") and len(err.splitlines()) == 1
 
 
 def test_gen_solve_pipeline(capsys, tmp_path):

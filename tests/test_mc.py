@@ -1,9 +1,11 @@
 import itertools
+import os
 import time
 from fractions import Fraction
 
 import pytest
 
+from svsearch import mc
 from svsearch.errors import CapacityError, UsageError
 from svsearch.ffield import FieldCtx, field_for_order, matrix_rank, prime_field
 from svsearch.mc import (
@@ -55,6 +57,39 @@ def test_run_experiment_worker_count_invariance():
     a, _ = run_experiment(13, 4, 2, 2, 30, seed=3, workers=1)
     b, _ = run_experiment(13, 4, 2, 2, 30, seed=3, workers=3)
     assert records_to_csv(a) == records_to_csv(b)
+
+
+class PoolRecorder:
+    """Stands in for multiprocessing.Pool: records the worker count asked
+    for and maps in this process, so no test starts a worker."""
+
+    def __init__(self, asked, workers):
+        asked.append(workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return [fn(job) for job in jobs]
+
+
+def test_worker_count_is_clamped_before_any_pool(monkeypatch):
+    asked = []
+    monkeypatch.setattr(mc, "Pool", lambda workers: PoolRecorder(asked, workers))
+    serial = records_to_csv(run_experiment(13, 4, 2, 2, 6, seed=3)[0])
+    assert asked == []
+    # never more processes than trials or than the machine has CPUs
+    assert records_to_csv(run_experiment(13, 4, 2, 2, 6, seed=3, workers=10**6)[0]) == serial
+    assert len(asked) <= 1 and all(1 < n <= min(6, os.cpu_count() or 1) for n in asked)
+    for cpus, trials, expected in ((4, 6, [4]), (8, 3, [3]), (1, 6, []), (None, 6, []), (8, 1, [])):
+        asked.clear()
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        records, _ = run_experiment(13, 4, 2, 2, trials, seed=3, workers=10**6)
+        assert asked == expected, (cpus, trials)
+        assert records_to_csv(records) == "\n".join(serial.split("\n")[: trials + 1]) + "\n"
 
 
 def test_run_experiment_offset_merge():

@@ -12,6 +12,8 @@ from svsearch.mpoly import (
     rational_roots,
     resultant_y,
     resultant_y_general,
+    slot_array,
+    substitute,
     term_sort_key,
 )
 from svsearch.upoly import (
@@ -231,6 +233,43 @@ def test_slot_plans_match_references(case):
     assert f.evaluate(point, ctx) == ref_evaluate(f, point, ctx)
     for m in range(1, f.nvars):
         assert f.specialize(point[:m], ctx) == ref_specialize(f, point[:m], ctx)
+
+
+@st.composite
+def polys_and_point(draw):
+    """A tuple of polynomials under one degree bound, some of them zero and
+    some of lower degree, and a point to substitute."""
+    ctx = SLOT_FIELDS[draw(st.sampled_from(sorted(SLOT_FIELDS)))]
+    nvars = draw(st.integers(1, 4))
+    maxdeg = draw(st.integers(0, 4))
+    elt = st.integers(0, ctx.q - 1)
+    point = tuple(draw(st.lists(elt, min_size=nvars, max_size=nvars)))
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        exps = monomials(nvars, draw(st.integers(0, maxdeg)))
+        items = draw(st.lists(st.tuples(st.sampled_from(exps), elt), max_size=12))
+        polys.append(MPoly.from_terms(nvars, items, ctx))
+    return ctx, tuple(polys), maxdeg, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_point())
+# every product is (p - 1)^2 ~ 2^62: unreduced, 35 of them pass 2^63 in a slot
+@example((P31, (DENSE_P31, MPoly.zero(4), P(4, [((0, 1, 1, 0), P31.q - 1)], P31)), 3, (P31.q - 1,) * 4))
+def test_tuple_substitute_matches_references(case):
+    ctx, polys, maxdeg, point = case
+    nvars = polys[0].nvars
+    coeffs = slot_array(polys, maxdeg) if ctx.k == 1 else None
+    for m in range(nvars + 1):
+        a = point[:m]
+        out = substitute(polys, a, ctx, maxdeg, coeffs)
+        assert out.shape == (len(polys), len(monomials(nvars - m, maxdeg)))
+        assert (out == substitute(polys, a, ctx, maxdeg)).all()  # slot array derived from the terms
+        for f, row in zip(polys, out.tolist()):
+            if m == nvars:
+                assert row == [ref_evaluate(f, point, ctx)]
+            else:
+                assert MPoly.from_slots(nvars - m, maxdeg, row) == ref_specialize(f, a, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svsearch.errors import DomainError, UsageError
+from svsearch.errors import CapacityError, DomainError, UsageError
 from svsearch.ffield import field_for_order, matrix_rank, prime_field
-from svsearch.mpoly import MPoly, monomials
+from svsearch.mpoly import SLOT_LIMIT, MPoly, check_slots, monomials
 from svsearch.sampler import (
     RngStream,
     SystemSpec,
@@ -345,3 +346,38 @@ def test_system_spec_invariants():
     assert system.hstar == 3
     with pytest.raises(UsageError):
         SystemSpec(ctx, 4, 2, 2, system.polys[:1])
+
+
+def test_slot_cap_refuses_before_enumerating():
+    for r in range(0, 40):
+        for d in range(0, 40):
+            n = math.comb(r + d, r)
+            if n <= SLOT_LIMIT:
+                assert check_slots(r, d) == n
+            else:
+                with pytest.raises(CapacityError):
+                    check_slots(r, d)
+    for r, d in ((10**9, 1), (1, 10**9), (10**9, 10**9)):
+        with pytest.raises(CapacityError):
+            check_slots(r, d)
+    with pytest.raises(UsageError):
+        check_slots(-1, 2)
+    ctx = prime_field(31)
+    with pytest.raises(CapacityError):
+        sample_system(ctx, 12, 2, 12, RngStream(1, 0))
+    with pytest.raises(CapacityError):
+        SystemSpec(ctx, 12, 2, 12, ())
+    with pytest.raises(CapacityError):
+        monomials(12, 12)
+
+
+def test_system_slot_array_matches_terms():
+    # sampled systems keep their draws as the slot array; others derive it
+    for ctx in (prime_field(31), prime_field(2**31 - 1)):
+        system = sample_system(ctx, 4, 2, 3, RngStream(5, 0))
+        assert system.slots.dtype == np.int64 and system.slots.shape == (2, system.coeff_slots)
+        derived = SystemSpec(ctx, 4, 2, 3, system.polys)
+        assert derived == system and (derived.slots == system.slots).all()
+    assert sample_system(field_for_order(4), 4, 2, 3, RngStream(5, 0)).slots is None
+    with pytest.raises(UsageError):
+        SystemSpec(ctx, 4, 2, 3, system.polys, system.slots[:, 1:])

@@ -13,7 +13,7 @@ from svsearch import zdsolve
 from svsearch.errors import CapacityError, UsageError
 from svsearch.ffield import LOG_TABLE_LIMIT, field_for_order, prime_field
 from svsearch.mc import records_to_csv, run_experiment
-from svsearch.mpoly import MPoly, monomials, resultant_y
+from svsearch.mpoly import MPoly, monomials, resultant_y, slot_array
 from svsearch.sampler import RngStream
 from svsearch.zdsolve import (
     ZeroDimQuery,
@@ -109,6 +109,32 @@ def test_log_grid_matches_evaluate_and_resultant(q):
                 assert grid.slab(lines, x, x + 1)[0, y] == f.evaluate((x, y), ctx), (q, d, x, y)
         # both return the smallest x, then the smallest y
         assert find_zero(query, "exhaustive") == find_zero(query, "resultant")
+
+
+@pytest.mark.parametrize("q", [31, 1009, 4093])  # float32, float32, float64 slabs
+def test_slot_lines_match_evaluate(q):
+    ctx = field_for_order(q)
+    rng = RngStream(4243, q)
+    for s, d in ((1, 3), (2, 2), (2, 3), (3, 2)):
+        if q ** s > zdsolve.GRID_LIMIT:
+            continue
+        polys = random_query(ctx, s, d, rng).polys
+        polys = (polys[0], MPoly.zero(s), P(s, [((1,) + (0,) * (s - 1), 1)], ctx))[:s]  # lower degree, zero
+        slots = slot_array(polys, d)
+        grid = _GridEval(ctx, s, d)
+        lines = grid.slot_lines(slots)
+        assert lines.shape == (s, len(grid.heads), q)
+        for _ in range(40):
+            point = tuple(rng.next_below(q) for _ in range(s))
+            prefix = sum(x * q ** i for i, x in enumerate(reversed(point[:-1])))
+            for f, f_lines in zip(polys, lines):
+                # the one-row slab that holds the point, a residue mod p
+                assert int(grid.slab(f_lines, prefix, prefix + 1)[0, point[-1]]) % q == f.evaluate(point, ctx)
+        query = ZeroDimQuery(ctx, s, polys, d)
+        with_slots = ZeroDimQuery(ctx, s, polys, d, slots)
+        assert list(_zeros(with_slots, "exhaustive")) == list(_zeros(query, "exhaustive"))
+        with pytest.raises(UsageError):
+            ZeroDimQuery(ctx, s, polys, d, slots[:, 1:])
 
 
 def test_soundness_check_survives_optimize_flag(monkeypatch):
