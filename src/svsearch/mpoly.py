@@ -104,16 +104,10 @@ def _row_plan(nvars: int, maxdeg: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(plan)
 
 
-def _row(point, maxdeg: int, ctx: FieldCtx) -> list[int]:
+def _row(point, maxdeg: int, mul) -> list[int]:
     """monomial_row without the element checks."""
     plan = _row_plan(len(point), maxdeg)
     row = [1] * (len(plan) + 1)
-    if ctx.k == 1:  # one product and one reduction, without a call
-        p = ctx.p
-        for i, parent, var in plan:
-            row[i] = row[parent] * point[var] % p
-        return row
-    mul = ctx.ops.mul
     for i, parent, var in plan:
         row[i] = mul(row[parent], point[var])
     return row
@@ -155,7 +149,7 @@ def slot_array(polys, maxdeg: int) -> np.ndarray:
         for exps, c in f.terms:
             row[index[exps]] = c
         rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(len(polys), len(index))
+    return np.array(rows, dtype=np.int64)
 
 
 def substitute(polys, a, ctx: FieldCtx, maxdeg: int, coeffs: np.ndarray | None = None) -> np.ndarray:
@@ -176,7 +170,7 @@ def substitute(polys, a, ctx: FieldCtx, maxdeg: int, coeffs: np.ndarray | None =
     for x in a:
         ctx.check(x)
     nvars, m = polys[0].nvars, len(a)
-    head = _row(a, maxdeg, ctx)
+    head = _row(a, maxdeg, ctx.ops.mul)
     if ctx.k == 1:
         if coeffs is None:
             coeffs = slot_array(polys, maxdeg)
@@ -195,14 +189,14 @@ def substitute(polys, a, ctx: FieldCtx, maxdeg: int, coeffs: np.ndarray | None =
             h, t = split[exps]
             acc[t] = add(acc[t], mul(c, head[h]))
         rows.append(acc)
-    return np.array(rows, dtype=object).reshape(len(polys), ntails)
+    return np.array(rows, dtype=object)
 
 
 def monomial_row(point: tuple[int, ...], maxdeg: int, ctx: FieldCtx) -> list[int]:
     """Values at point of every monomial of degree <= maxdeg, in `monomials` order."""
     for x in point:
         ctx.check(x)
-    return _row(point, maxdeg, ctx)
+    return _row(point, maxdeg, ctx.ops.mul)
 
 
 def term_sort_key(exps: ExpVec) -> tuple[int, ExpVec]:

@@ -21,17 +21,8 @@ import numpy as np
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx
 # resultant_y is not called here: perfbench/tracing.py looks it up on this module by name
-from .mpoly import (
-    MPoly,
-    lift_with_embedding,
-    monomials,
-    rational_roots,
-    resultant_y,
-    resultant_y_general,
-    slot_array,
-    substitute,
-    y_poly_at,
-)
+from .mpoly import (MPoly, lift_with_embedding, monomials, rational_roots, resultant_y, resultant_y_general,
+                    slot_array, substitute, y_poly_at)
 from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked
 
 GRID_LIMIT = 1 << 24
