@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, field_for_order
-from .mpoly import MPoly, check_slots, substitute
+from .mpoly import MPoly
 from .mc import exhaustive_p1, exhaustive_sk, records_to_csv, run_experiment
 from .sampler import RngStream, SystemSpec, sample_system
 from .svs import run_svs
@@ -69,7 +69,6 @@ def _system_fields(text: str) -> tuple[FieldCtx, int, int, int, tuple[MPoly, ...
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed system file: {exc}") from exc
     ctx = field_for_order(q)
-    check_slots(r, d)
     if len(polys_doc) != s:
         raise UsageError(f"expected {s} polynomials, found {len(polys_doc)}")
     polys = []
@@ -218,12 +217,11 @@ def cmd_oracle(args) -> int:
     # count-points
     ctx, r, s, d, polys = _system_fields(_read_text(args.system))
     if s != r:
-        system = SystemSpec(ctx, r, s, d, polys)  # checks 1 < s < r
+        SystemSpec(ctx, r, s, d, polys)  # checks 1 < s < r
         if args.strip is None:
             raise UsageError("count-points needs --strip for an underdetermined system")
         strip = parse_strips(args.strip, r - s, ctx)[0]
-        tails = substitute(polys, strip, ctx, d, system.slots).tolist()
-        polys = tuple(MPoly.from_slots(s, d, row) for row in tails)
+        polys = tuple(f.specialize(strip, ctx) for f in polys)
     query = ZeroDimQuery(ctx, s, polys, d)
     count = distinct_geometric_points(query)
     sys.stdout.write(json.dumps({"distinct_geometric_points": count}) + "\n")

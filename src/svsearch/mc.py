@@ -19,7 +19,7 @@ from multiprocessing import Pool
 
 from .errors import CapacityError, UsageError
 from .ffield import FieldCtx, FMatrix, field_for_order, matrix_rank
-from .mpoly import check_slots, monomial_row
+from .mpoly import monomial_row
 from .sampler import RngStream, Strip, m_matrix, sample_system
 from .svs import run_svs
 from .theory import (
@@ -215,7 +215,6 @@ def run_experiment(
     if workers < 1:
         raise UsageError(f"need at least one worker, got {workers}")
     ctx = field_for_order(q)
-    check_slots(r, d)  # before any pool
     hstar = hstar if hstar is not None else r - s + 1
     workers = min(workers, n_trials, os.cpu_count() or 1)  # records do not depend on the count
     t0 = time.monotonic()

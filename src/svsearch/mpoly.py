@@ -139,57 +139,109 @@ def _slot_index(nvars: int, maxdeg: int) -> dict[ExpVec, int]:
     return {e: i for i, e in enumerate(monomials(nvars, maxdeg))}
 
 
+def _int_array(rows) -> np.ndarray:
+    """Field elements as an int64 array, or as Python ints past 2^63."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+class _SlotBlock:
+    """Polynomials in nvars variables of degree <= maxdeg as one read-only
+    int64 array: a row per polynomial, by slot of `monomials(nvars, maxdeg)`.
+
+    Every MPoly made from a row keeps (block, row index) in `_slots`.
+    `at` substitutes the whole block at a point and keeps the last result,
+    since a system's polynomials ask for it one after the other.
+    """
+
+    __slots__ = ("nvars", "maxdeg", "coeffs", "_last")
+
+    def __init__(self, nvars: int, maxdeg: int, coeffs: np.ndarray) -> None:
+        coeffs.flags.writeable = False
+        self.nvars, self.maxdeg, self.coeffs = nvars, maxdeg, coeffs
+        self._last = None
+
+    def at(self, a: tuple[int, ...], ctx: FieldCtx) -> tuple:
+        """Every polynomial of the block with its first len(a) variables
+        set to a: one int each when a sets them all, else MPolys sharing a
+        new block."""
+        last = self._last
+        if last is not None and last[0] == a and (last[1] is ctx or last[1] == ctx):
+            return last[2]
+        for x in a:
+            ctx.check(x)
+        tails = _substitute_block(self, a, ctx)
+        if len(a) == self.nvars:
+            out = tuple(tails[:, 0].tolist())
+        else:
+            out = polys_from_slots(self.nvars - len(a), self.maxdeg, tails)
+        self._last = (a, ctx, out)
+        return out
+
+
+def polys_from_slots(nvars: int, maxdeg: int, coeffs) -> tuple["MPoly", ...]:
+    """The polynomials whose coefficients are the rows of coeffs (field
+    elements by slot of `monomials(nvars, maxdeg)`, whose order is the
+    canonical term order), sharing those rows as one block.  An array is
+    taken over as it is, and made read-only; over GF(p) it is int64."""
+    block = _SlotBlock(nvars, maxdeg, coeffs if isinstance(coeffs, np.ndarray) else _int_array(coeffs))
+    exps = monomials(nvars, maxdeg)
+    out = []
+    for i, row in enumerate(block.coeffs.tolist()):
+        f = MPoly(nvars, tuple(zip(compress(exps, row), filter(None, row))))
+        f.__dict__["_slots"] = (block, i)
+        out.append(f)
+    return tuple(out)
+
+
 def slot_array(polys, maxdeg: int) -> np.ndarray:
-    """Coefficients of polys by slot of `monomials(nvars, maxdeg)`, one
-    int64 row per polynomial; every degree must be <= maxdeg."""
-    index = _slot_index(polys[0].nvars, maxdeg)
+    """Coefficients of polys by slot of `monomials(nvars, maxdeg)`, one row
+    per polynomial (int64 over GF(p)); every degree must be <= maxdeg."""
+    slots = [f._slots for f in polys]
+    block = slots[0][0]
+    if block.maxdeg == maxdeg and all(b is block for b, _ in slots):
+        return block.coeffs[[i for _, i in slots]]
+    n = len(monomials(polys[0].nvars, maxdeg))
     rows = []
-    for f in polys:
-        row = [0] * len(index)
-        for exps, c in f.terms:
-            row[index[exps]] = c
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    for block, i in slots:
+        row = block.coeffs[i, -n:].tolist()  # graded order: the slots of degree <= e come last
+        rows.append([0] * (n - len(row)) + row)
+    return _int_array(rows)
 
 
-def substitute(polys, a, ctx: FieldCtx, maxdeg: int, coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients of every polynomial in polys with its first len(a)
-    variables set to a: one row per polynomial, by slot of
-    `monomials(nvars - len(a), maxdeg)`.  Every degree must be <= maxdeg.
+def _substitute_block(block: _SlotBlock, a: tuple[int, ...], ctx: FieldCtx) -> np.ndarray:
+    """Every row of block with its first len(a) variables set to a, by slot
+    of `monomials(nvars - len(a), maxdeg)`: an array, one row each.
 
     The head row, the monomials of the first len(a) variables at a, is
-    built once for all of them.  Over GF(p) the result is an int64 array
-    computed from coeffs, the polys' `slot_array` over
-    `monomials(nvars, maxdeg)` (derived from the terms when not given):
-    each coefficient times its head value is below p^2 < 2^62 and is
-    reduced before the tail sums, which then stay below
-    SLOT_LIMIT * p < 2^47 (`monomials` enumerates no more slots), so
-    bincount's float64 sums are exact.  Over GF(p^k) each polynomial's
-    terms add up through the op table, into an object array.
+    built once for all rows.  Over GF(p) each coefficient times its head
+    value is below p^2 < 2^62 and is reduced before the tail sums, which
+    then stay below SLOT_LIMIT * p < 2^47 (`monomials` enumerates no more
+    slots), so bincount's float64 sums are exact.  Over GF(p^k) the
+    nonzero slots add up through the op table.
     """
-    for x in a:
-        ctx.check(x)
-    nvars, m = polys[0].nvars, len(a)
+    nvars, m, maxdeg = block.nvars, len(a), block.maxdeg
     head = _row(a, maxdeg, ctx.ops.mul)
+    rows = len(block.coeffs)
     if ctx.k == 1:
-        if coeffs is None:
-            coeffs = slot_array(polys, maxdeg)
-        heads, bins, ntails = _gather_plan(nvars, m, maxdeg, len(polys))
-        prod = coeffs * np.array(head, dtype=np.int64)[heads]
+        heads, bins, ntails = _gather_plan(nvars, m, maxdeg, rows)
+        prod = block.coeffs * np.array(head, dtype=np.int64)[heads]
         prod %= ctx.p
-        sums = np.bincount(bins, weights=prod.ravel(), minlength=len(polys) * ntails)
-        return sums.astype(np.int64).reshape(len(polys), ntails) % ctx.p
+        sums = np.bincount(bins, weights=prod.ravel(), minlength=rows * ntails)
+        return sums.astype(np.int64).reshape(rows, ntails) % ctx.p
     add, mul = ctx.ops.add, ctx.ops.mul
-    split = _split_plan(nvars, m, maxdeg)
+    split = tuple(_split_plan(nvars, m, maxdeg).values())
     ntails = len(monomials(nvars - m, maxdeg))
-    rows = []
-    for f in polys:
+    out = []
+    for coeffs in block.coeffs.tolist():
         acc = [0] * ntails
-        for exps, c in f.terms:
-            h, t = split[exps]
-            acc[t] = add(acc[t], mul(c, head[h]))
-        rows.append(acc)
-    return np.array(rows, dtype=object)
+        for (h, t), c in zip(split, coeffs):
+            if c:
+                acc[t] = add(acc[t], mul(c, head[h]))
+        out.append(acc)
+    return _int_array(out)
 
 
 def monomial_row(point: tuple[int, ...], maxdeg: int, ctx: FieldCtx) -> list[int]:
@@ -234,23 +286,31 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @staticmethod
-    def from_slots(nvars: int, maxdeg: int, coeffs) -> "MPoly":
-        """The polynomial with these field elements (Python ints) by slot of
-        `monomials(nvars, maxdeg)`, whose order is the canonical term order."""
-        return MPoly(nvars, tuple(zip(compress(monomials(nvars, maxdeg), coeffs), filter(None, coeffs))))
+    @cached_property
+    def _slots(self) -> tuple[_SlotBlock, int]:
+        """(block, row) holding self's coefficients: set by
+        `polys_from_slots`, else derived once from the terms into a block
+        of its own at max(degree, 0).  Kept in the instance dict, like
+        `coeffs_in_last_var`, so == and hash ignore it."""
+        maxdeg = max(self.degree, 0)
+        index = _slot_index(self.nvars, maxdeg)
+        row = [0] * len(index)
+        for exps, c in self.terms:
+            row[index[exps]] = c
+        return _SlotBlock(self.nvars, maxdeg, _int_array([row])), 0
 
     def evaluate(self, point, ctx: FieldCtx) -> int:
         if len(point) != self.nvars:
             raise UsageError(f"point has {len(point)} coordinates, polynomial has {self.nvars}")
-        return int(substitute((self,), point, ctx, max(self.degree, 0))[0, 0])  # the one slot of monomials(0, d)
+        block, i = self._slots
+        return block.at(tuple(point), ctx)[i]
 
     def specialize(self, a, ctx: FieldCtx) -> "MPoly":
         """Substitute the first len(a) variables by the values in a."""
         if len(a) >= self.nvars:
             raise UsageError("specialize must leave at least one variable")
-        maxdeg = max(self.degree, 0)
-        return MPoly.from_slots(self.nvars - len(a), maxdeg, substitute((self,), a, ctx, maxdeg)[0].tolist())
+        block, i = self._slots
+        return block.at(tuple(a), ctx)[i]
 
     @cached_property
     def coeffs_in_last_var(self) -> tuple[UPoly, ...]:

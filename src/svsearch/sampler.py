@@ -8,13 +8,13 @@ worker-count independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, FMatrix
-from .mpoly import MPoly, check_slots, monomial_row, monomials, slot_array
+from .mpoly import MPoly, check_slots, monomial_row, monomials, polys_from_slots, slot_array
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -61,7 +61,11 @@ class RngStream:
                 return u % n
 
     def below_block(self, n: int, count: int) -> list[int]:
-        """[self.next_below(n) for _ in range(count)], leaving the same state.
+        """[self.next_below(n) for _ in range(count)], leaving the same state."""
+        return self.below_array(n, count).tolist()
+
+    def below_array(self, n: int, count: int) -> np.ndarray:
+        """below_block as an array: int64 for n <= 2^63, Python ints above.
 
         The k-th state after this one is state + k * gamma mod 2^64, so
         the block is one uint64 array pass (arrays wrap silently where
@@ -73,8 +77,8 @@ class RngStream:
         if n <= 0:
             raise UsageError("bound must be positive")
         if n == 1 or count == 0:
-            return [0] * count
-        if n <= _M64:
+            return np.zeros(count, dtype=np.int64)
+        if n <= 1 << 63:
             limit = (1 << 64) - ((1 << 64) % n)
             z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
             z += np.uint64(self.state)
@@ -85,33 +89,26 @@ class RngStream:
             z ^= z >> 31
             if int(z.max()) < limit:
                 self.state = (self.state + count * _GAMMA) & _M64
-                return (z % np.uint64(n)).tolist()
-        return [self.next_below(n) for _ in range(count)]
+                return (z % np.uint64(n)).astype(np.int64)
+        return np.array([self.next_below(n) for _ in range(count)], dtype=np.int64 if n <= 1 << 63 else object)
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """An input instance: s polynomials of degree <= d in r variables.
-
-    Over GF(p), slots holds the coefficients of all s polynomials as one
-    (s x C(r + d, r)) int64 array by slot of `monomials(r, d)`, derived
-    from the terms when not given; substitution reads it.  It is None
-    over GF(p^k), whose substitution walks the terms.
-    """
+    """An input instance: s polynomials of degree <= d in r variables."""
 
     ctx: FieldCtx
     r: int
     s: int
     d: int
     polys: tuple[MPoly, ...]
-    slots: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 < self.s < self.r:
             raise UsageError(f"need 1 < s < r, got s={self.s}, r={self.r}")
         if self.d < 2:
             raise UsageError(f"degree bound must be >= 2, got {self.d}")
-        nslots = check_slots(self.r, self.d)
+        check_slots(self.r, self.d)
         if len(self.polys) != self.s:
             raise UsageError(f"expected {self.s} polynomials, got {len(self.polys)}")
         for f in self.polys:
@@ -119,11 +116,9 @@ class SystemSpec:
                 raise UsageError("polynomial variable count does not match r")
             if f.degree > self.d:
                 raise UsageError("polynomial degree exceeds the bound d")
-        if self.slots is None:
-            if self.ctx.k == 1:
-                object.__setattr__(self, "slots", slot_array(self.polys, self.d))
-        elif self.slots.shape != (self.s, nslots):
-            raise UsageError(f"slot array of shape {self.slots.shape}, expected {(self.s, nslots)}")
+        if len({f._slots[0] for f in self.polys}) > 1:
+            # one slot block, so that each point substitutes all polynomials at once
+            object.__setattr__(self, "polys", polys_from_slots(self.r, self.d, slot_array(self.polys, self.d)))
 
     @property
     def coeff_slots(self) -> int:
@@ -149,16 +144,20 @@ def sample_system(
     if d < 2:
         raise UsageError(f"degree bound must be >= 2, got {d}")
     nslots = check_slots(r, d)
-    blocks = []
-    for _ in range(s):
-        while True:
-            coeffs = rng.below_block(ctx.q, nslots)
-            if allow_zero or any(coeffs):
-                break
-        blocks.append(coeffs)
+    if allow_zero:
+        # the draws of consecutive blocks are those of one block
+        coeffs = rng.below_array(ctx.q, s * nslots).reshape(s, nslots)
+    else:
+        rows = []
+        for _ in range(s):
+            while True:
+                row = rng.below_array(ctx.q, nslots)
+                if row.any():
+                    break
+            rows.append(row)
+        coeffs = np.array(rows)
     # slots are in canonical order and hold field elements: no from_terms
-    polys = tuple(MPoly.from_slots(r, d, coeffs) for coeffs in blocks)
-    return SystemSpec(ctx, r, s, d, polys, np.array(blocks, dtype=np.int64) if ctx.k == 1 else None)
+    return SystemSpec(ctx, r, s, d, polys_from_slots(r, d, coeffs))
 
 
 def sample_strips(ctx: FieldCtx, m: int, h: int, rng: RngStream) -> list[Strip]:

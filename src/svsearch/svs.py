@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .mpoly import MPoly, substitute
 from .sampler import RngStream, Strip, SystemSpec, sample_strips
 from .zdsolve import CertResult, ZeroDimQuery, cond_h_certificate, find_zero
 
@@ -73,7 +72,8 @@ def verify_solution(system: SystemSpec, strip: Strip, point) -> bool:
     if len(strip) != system.r - system.s or len(point) != system.s:
         raise UsageError("strip/point dimensions do not match the system")
     full = tuple(strip) + tuple(point)
-    return not substitute(system.polys, full, system.ctx, system.d, system.slots).any()
+    ctx = system.ctx
+    return all(f.evaluate(full, ctx) == 0 for f in system.polys)
 
 
 def run_svs(
@@ -121,12 +121,10 @@ def run_svs(
     visited: list[Strip] = []
     certs: list[CertResult] = []
     point = None
-    s, d = system.s, system.d
     for a in plan:
         visited.append(a)
-        tails = substitute(system.polys, a, ctx, d, system.slots)
-        specialized = tuple(MPoly.from_slots(s, d, row) for row in tails.tolist())
-        query = ZeroDimQuery(ctx, s, specialized, d, tails)
+        specialized = tuple(f.specialize(a, ctx) for f in system.polys)
+        query = ZeroDimQuery(ctx, system.s, specialized, system.d)
         if certify:
             certs.append(cond_h_certificate(query))
         point = find_zero(query, backend)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx
 # resultant_y is not called here: perfbench/tracing.py looks it up on this module by name
 from .mpoly import (MPoly, lift_with_embedding, monomials, rational_roots, resultant_y, resultant_y_general,
-                    slot_array, substitute, y_poly_at)
+                    slot_array, y_poly_at)
 from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked
 
 GRID_LIMIT = 1 << 24
@@ -30,19 +30,12 @@ GRID_LIMIT = 1 << 24
 
 @dataclass(frozen=True)
 class ZeroDimQuery:
-    """s polynomials in s variables with a degree bound.
-
-    slots, when given, holds the same polynomials by slot of
-    `monomials(s, dmax)`, one row each, as `substitute` returns them on a
-    strip; the prime-field grid and the re-check read it instead of
-    deriving it from the terms.
-    """
+    """s polynomials in s variables with a degree bound."""
 
     ctx: FieldCtx
     s: int
     polys: tuple[MPoly, ...]
     dmax: int
-    slots: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.s < 1:
@@ -54,8 +47,6 @@ class ZeroDimQuery:
                 raise UsageError("polynomial variable count must equal s")
             if f.degree > self.dmax:
                 raise UsageError("polynomial degree exceeds dmax")
-        if self.slots is not None and self.slots.shape != (self.s, len(monomials(self.s, self.dmax))):
-            raise UsageError(f"slot array of shape {self.slots.shape} does not match s and dmax")
 
 
 @dataclass(frozen=True)
@@ -231,19 +222,17 @@ def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
     q, s = ctx.q, query.s
     if q ** s > GRID_LIMIT:
         raise CapacityError(f"grid of {q ** s} points exceeds 2^24")
+    polys = sorted(query.polys, key=MPoly.is_zero)  # a zero polynomial imposes nothing: last
     if ctx.k > 1 and ctx.q > LOG_TABLE_LIMIT:
         for point in itertools.product(ctx.elements(), repeat=s):
-            if not substitute(query.polys, point, ctx, query.dmax).any():
+            if all(f.evaluate(point, ctx) == 0 for f in polys):
                 yield point
         return
     grid = _grid_eval(ctx, s, query.dmax)
     if grid.prime:
-        slots = query.slots if query.slots is not None else slot_array(query.polys, query.dmax)
-        lines = grid.slot_lines(slots)
+        first, *rest = grid.slot_lines(slot_array(polys, query.dmax))
     else:
-        lines = [grid.lines(f) for f in query.polys]
-    # a zero polynomial imposes nothing: last
-    first, *rest = [lines[i] for i in sorted(range(s), key=lambda i: query.polys[i].is_zero())]
+        first, *rest = [grid.lines(f) for f in polys]
     prefixes, step = q ** (s - 1), grid.rows
     for lo in range(0, prefixes, step):
         cells = lo * q + np.flatnonzero(grid.zero(grid.slab(first, lo, min(lo + step, prefixes))))
@@ -322,8 +311,11 @@ def find_zero(query: ZeroDimQuery, backend: str = "exhaustive") -> tuple[int, ..
     against all polynomials before being handed back.
     """
     point = next(_zeros(query, backend), None)
-    if point is not None and substitute(query.polys, point, query.ctx, query.dmax, query.slots).any():
-        raise AssertionError(f"backend {backend} returned a non-zero: {point}")
+    if point is not None:
+        ctx = query.ctx
+        for f in query.polys:
+            if f.evaluate(point, ctx) != 0:
+                raise AssertionError(f"backend {backend} returned a non-zero: {point}")
     return point
 
 

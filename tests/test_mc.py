@@ -53,7 +53,9 @@ def test_run_experiment_deterministic_csv():
     assert records_to_csv(a) != records_to_csv(c)
 
 
-def test_run_experiment_worker_count_invariance():
+def test_run_experiment_worker_count_invariance(monkeypatch):
+    # a real pool of 3 workers on any host, past the clamp to the CPU count
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
     a, _ = run_experiment(13, 4, 2, 2, 30, seed=3, workers=1)
     b, _ = run_experiment(13, 4, 2, 2, 30, seed=3, workers=3)
     assert records_to_csv(a) == records_to_csv(b)

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svsearch.errors import DomainError, UsageError
-from svsearch.ffield import LOG_TABLE_LIMIT, field_for_order, prime_field
+from svsearch.ffield import LOG_TABLE_LIMIT, FieldCtx, field_for_order, prime_field
 from svsearch.mpoly import (
     MPoly,
     lift_with_embedding,
@@ -12,8 +12,8 @@ from svsearch.mpoly import (
     rational_roots,
     resultant_y,
     resultant_y_general,
+    polys_from_slots,
     slot_array,
-    substitute,
     term_sort_key,
 )
 from svsearch.upoly import (
@@ -186,6 +186,8 @@ def ref_specialize(f, a, ctx):
 # Prime fields sum integer products per slot before one reduction; at
 # p = 2^31 - 1 a slot's sum can pass 2^64.
 SLOT_FIELDS = {q: field_for_order(q) for q in (7, 8, 9, 1009, 2**31 - 1, 1 << 17)}
+# GF(2^64) by X^64 + X^4 + X^3 + X + 1: elements past 2^63 do not fit int64
+SLOT_FIELDS[1 << 64] = FieldCtx(2, 64, (1, 1, 0, 1, 1) + (0,) * 59 + (1,))
 assert any(c.k > 1 and c.q > LOG_TABLE_LIMIT for c in SLOT_FIELDS.values())
 
 
@@ -256,20 +258,33 @@ def polys_and_point(draw):
 @given(polys_and_point())
 # every product is (p - 1)^2 ~ 2^62: unreduced, 35 of them pass 2^63 in a slot
 @example((P31, (DENSE_P31, MPoly.zero(4), P(4, [((0, 1, 1, 0), P31.q - 1)], P31)), 3, (P31.q - 1,) * 4))
-def test_tuple_substitute_matches_references(case):
+def test_shared_slot_block_matches_references(case):
     ctx, polys, maxdeg, point = case
     nvars = polys[0].nvars
-    coeffs = slot_array(polys, maxdeg) if ctx.k == 1 else None
+    block = polys_from_slots(nvars, maxdeg, slot_array(polys, maxdeg))
+    assert block == polys
     for m in range(nvars + 1):
         a = point[:m]
-        out = substitute(polys, a, ctx, maxdeg, coeffs)
-        assert out.shape == (len(polys), len(monomials(nvars - m, maxdeg)))
-        assert (out == substitute(polys, a, ctx, maxdeg)).all()  # slot array derived from the terms
-        for f, row in zip(polys, out.tolist()):
+        # one block substituted once for all rows, and each polynomial on its own
+        for shared, f in zip(block, polys):
             if m == nvars:
-                assert row == [ref_evaluate(f, point, ctx)]
+                assert shared.evaluate(point, ctx) == f.evaluate(point, ctx) == ref_evaluate(f, point, ctx)
             else:
-                assert MPoly.from_slots(nvars - m, maxdeg, row) == ref_specialize(f, a, ctx)
+                expected = ref_specialize(f, a, ctx)
+                assert shared.specialize(a, ctx) == f.specialize(a, ctx) == expected
+                assert slot_array([shared.specialize(a, ctx)], maxdeg).tolist() == slot_array([expected], maxdeg).tolist()
+
+
+def test_block_keeps_the_last_point_per_field():
+    # one block evaluated at one point in two fields, and back
+    f, g = polys_from_slots(2, 2, [[3, 0, 1, 0, 0, 2], [0, 5, 0, 0, 1, 0]])
+    gf7, gf8 = field_for_order(7), field_for_order(8)
+    for ctx in (gf7, gf8, gf7):
+        for h in (f, g, f):
+            assert h.evaluate((2, 3), ctx) == ref_evaluate(h, (2, 3), ctx)
+    for ctx in (gf7, gf8, gf7):
+        for h in (f, g, f):
+            assert h.specialize((4,), ctx) == ref_specialize(h, (4,), ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from svsearch.errors import CapacityError, DomainError, UsageError
 from svsearch.ffield import field_for_order, matrix_rank, prime_field
-from svsearch.mpoly import SLOT_LIMIT, MPoly, check_slots, monomials
+from svsearch.mpoly import SLOT_LIMIT, MPoly, check_slots, monomials, slot_array
 from svsearch.sampler import (
     RngStream,
     SystemSpec,
@@ -371,13 +371,16 @@ def test_slot_cap_refuses_before_enumerating():
         monomials(12, 12)
 
 
-def test_system_slot_array_matches_terms():
-    # sampled systems keep their draws as the slot array; others derive it
-    for ctx in (prime_field(31), prime_field(2**31 - 1)):
+def test_system_polys_share_one_slot_block():
+    # sampled systems keep their draws as one block; others are put in one
+    for ctx in (prime_field(31), prime_field(2**31 - 1), field_for_order(4)):
         system = sample_system(ctx, 4, 2, 3, RngStream(5, 0))
-        assert system.slots.dtype == np.int64 and system.slots.shape == (2, system.coeff_slots)
-        derived = SystemSpec(ctx, 4, 2, 3, system.polys)
-        assert derived == system and (derived.slots == system.slots).all()
-    assert sample_system(field_for_order(4), 4, 2, 3, RngStream(5, 0)).slots is None
-    with pytest.raises(UsageError):
-        SystemSpec(ctx, 4, 2, 3, system.polys, system.slots[:, 1:])
+        slots = slot_array(system.polys, 3)
+        assert slots.dtype == np.int64 and slots.shape == (2, system.coeff_slots)
+        assert not system.polys[0]._slots[0].coeffs.flags.writeable
+        terms = tuple(MPoly.from_terms(4, f.terms, ctx) for f in system.polys)
+        derived = SystemSpec(ctx, 4, 2, 3, terms)
+        assert derived == system and (slot_array(derived.polys, 3) == slots).all()
+        assert len({f._slots[0] for f in derived.polys}) == len({f._slots[0] for f in system.polys}) == 1
+        strip = (1, 2)
+        assert [f.specialize(strip, ctx) for f in derived.polys] == [f.specialize(strip, ctx) for f in terms]

@@ -13,7 +13,7 @@ from svsearch import zdsolve
 from svsearch.errors import CapacityError, UsageError
 from svsearch.ffield import LOG_TABLE_LIMIT, field_for_order, prime_field
 from svsearch.mc import records_to_csv, run_experiment
-from svsearch.mpoly import MPoly, monomials, resultant_y, slot_array
+from svsearch.mpoly import MPoly, monomials, polys_from_slots, resultant_y, slot_array
 from svsearch.sampler import RngStream
 from svsearch.zdsolve import (
     ZeroDimQuery,
@@ -130,11 +130,9 @@ def test_slot_lines_match_evaluate(q):
             for f, f_lines in zip(polys, lines):
                 # the one-row slab that holds the point, a residue mod p
                 assert int(grid.slab(f_lines, prefix, prefix + 1)[0, point[-1]]) % q == f.evaluate(point, ctx)
-        query = ZeroDimQuery(ctx, s, polys, d)
-        with_slots = ZeroDimQuery(ctx, s, polys, d, slots)
-        assert list(_zeros(with_slots, "exhaustive")) == list(_zeros(query, "exhaustive"))
-        with pytest.raises(UsageError):
-            ZeroDimQuery(ctx, s, polys, d, slots[:, 1:])
+        # the same rows from one shared block as from each polynomial's own
+        assert (slot_array(polys_from_slots(s, d, slots), d) == slots).all()
+        assert (slot_array(polys, d + 1)[:, -slots.shape[1]:] == slots).all()
 
 
 def test_soundness_check_survives_optimize_flag(monkeypatch):
