@@ -153,7 +153,9 @@ class _SlotBlock:
 
     Every MPoly made from a row keeps (block, row index) in `_slots`.
     `at` substitutes the whole block at a point and keeps the last result,
-    since a system's polynomials ask for it one after the other.
+    since a system's polynomials ask for it one after the other.  The
+    point, field and result are swapped in as one tuple, so threads that
+    race on a block at most repeat a substitution.
     """
 
     __slots__ = ("nvars", "maxdeg", "coeffs", "_last")

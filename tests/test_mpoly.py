@@ -183,8 +183,8 @@ def ref_specialize(f, a, ctx):
 
 
 # q = 2^17 is above LOG_TABLE_LIMIT: digit arithmetic, not log tables.
-# Prime fields sum integer products per slot before one reduction; at
-# p = 2^31 - 1 a slot's sum can pass 2^64.
+# Prime fields reduce each product before the tail sums; at p = 2^31 - 1
+# an unreduced sum passes 2^63.
 SLOT_FIELDS = {q: field_for_order(q) for q in (7, 8, 9, 1009, 2**31 - 1, 1 << 17)}
 # GF(2^64) by X^64 + X^4 + X^3 + X + 1: elements past 2^63 do not fit int64
 SLOT_FIELDS[1 << 64] = FieldCtx(2, 64, (1, 1, 0, 1, 1) + (0,) * 59 + (1,))
@@ -272,7 +272,8 @@ def test_shared_slot_block_matches_references(case):
             else:
                 expected = ref_specialize(f, a, ctx)
                 assert shared.specialize(a, ctx) == f.specialize(a, ctx) == expected
-                assert slot_array([shared.specialize(a, ctx)], maxdeg).tolist() == slot_array([expected], maxdeg).tolist()
+                rows = slot_array([shared.specialize(a, ctx), expected], maxdeg)
+                assert rows[0].tolist() == rows[1].tolist()
 
 
 def test_block_keeps_the_last_point_per_field():
