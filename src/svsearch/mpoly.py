@@ -149,7 +149,8 @@ def _int_array(rows) -> np.ndarray:
 
 class _SlotBlock:
     """Polynomials in nvars variables of degree <= maxdeg as one read-only
-    int64 array: a row per polynomial, by slot of `monomials(nvars, maxdeg)`.
+    array (int64, or Python ints past 2^63): a row per polynomial, by slot
+    of `monomials(nvars, maxdeg)`.
 
     Every MPoly made from a row keeps (block, row index) in `_slots`.
     `at` substitutes the whole block at a point and keeps the last result,
