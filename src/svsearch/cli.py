@@ -217,11 +217,11 @@ def cmd_oracle(args) -> int:
     # count-points
     ctx, r, s, d, polys = _system_fields(_read_text(args.system))
     if s != r:
-        SystemSpec(ctx, r, s, d, polys)  # checks 1 < s < r
+        system = SystemSpec(ctx, r, s, d, polys)  # checks 1 < s < r, shares one slot block
         if args.strip is None:
             raise UsageError("count-points needs --strip for an underdetermined system")
         strip = parse_strips(args.strip, r - s, ctx)[0]
-        polys = tuple(f.specialize(strip, ctx) for f in polys)
+        polys = tuple(f.specialize(strip, ctx) for f in system.polys)
     query = ZeroDimQuery(ctx, s, polys, d)
     count = distinct_geometric_points(query)
     sys.stdout.write(json.dumps({"distinct_geometric_points": count}) + "\n")

@@ -1,16 +1,15 @@
-"""Sparse multivariate and dense univariate polynomials over a finite field.
+"""Multivariate and dense univariate polynomials over a finite field.
 
-Multivariate polynomials are kept in a canonical form (graded-lex
-descending term order, no zero coefficients, no duplicate exponent
-vectors) so that equality is structural and serialization is
-reproducible.  Univariate polynomials (`upoly`) enter through root
-finding and the resultant in the first variable.
+A multivariate polynomial is a row of coefficients by slot of
+`monomials`, whose graded-lex descending order is the canonical term
+order, so equality and serialization do not depend on how a polynomial
+was built.  Univariate polynomials (`upoly`) enter through root finding
+and the resultant in the first variable.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 
@@ -134,11 +133,6 @@ def _gather_plan(nvars: int, m: int, maxdeg: int, rows: int) -> tuple[np.ndarray
     return split[:, 0], bins, ntails
 
 
-@lru_cache(maxsize=None)
-def _slot_index(nvars: int, maxdeg: int) -> dict[ExpVec, int]:
-    return {e: i for i, e in enumerate(monomials(nvars, maxdeg))}
-
-
 def _int_array(rows) -> np.ndarray:
     """Field elements as an int64 array, or as Python ints past 2^63."""
     try:
@@ -152,7 +146,7 @@ class _SlotBlock:
     array (int64, or Python ints past 2^63): a row per polynomial, by slot
     of `monomials(nvars, maxdeg)`.
 
-    Every MPoly made from a row keeps (block, row index) in `_slots`.
+    An MPoly is a row: it keeps (block, row index) in `_slots`.
     `at` substitutes the whole block at a point and keeps the last result,
     since a system's polynomials ask for it one after the other.  The
     point, field and result are swapped in as one tuple, so threads that
@@ -186,17 +180,11 @@ class _SlotBlock:
 
 def polys_from_slots(nvars: int, maxdeg: int, coeffs) -> tuple["MPoly", ...]:
     """The polynomials whose coefficients are the rows of coeffs (field
-    elements by slot of `monomials(nvars, maxdeg)`, whose order is the
-    canonical term order), sharing those rows as one block.  An array is
-    taken over as it is, and made read-only; over GF(p) it is int64."""
+    elements by slot of `monomials(nvars, maxdeg)`), one row each of a
+    block they share.  An array is taken over as it is, and made
+    read-only; over GF(p) it is int64."""
     block = _SlotBlock(nvars, maxdeg, coeffs if isinstance(coeffs, np.ndarray) else _int_array(coeffs))
-    exps = monomials(nvars, maxdeg)
-    out = []
-    for i, row in enumerate(block.coeffs.tolist()):
-        f = MPoly(nvars, tuple(zip(compress(exps, row), filter(None, row))))
-        f.__dict__["_slots"] = (block, i)
-        out.append(f)
-    return tuple(out)
+    return tuple(MPoly(block, i) for i in range(len(block.coeffs)))
 
 
 def slot_array(polys, maxdeg: int) -> np.ndarray:
@@ -254,19 +242,30 @@ def monomial_row(point: tuple[int, ...], maxdeg: int, ctx: FieldCtx) -> list[int
     return _row(point, maxdeg, ctx.ops.mul)
 
 
-def term_sort_key(exps: ExpVec) -> tuple[int, ExpVec]:
-    return (sum(exps), exps)
-
-
-@dataclass(frozen=True)
 class MPoly:
-    """Canonical sparse polynomial; treat instances as immutable values."""
+    """A polynomial in nvars variables: one row of a slot block.
 
-    nvars: int
-    terms: tuple[tuple[ExpVec, int], ...]
+    The row is the only stored form.  `polys_from_slots` makes the
+    polynomials of a block, and `from_terms` checks outside input before
+    writing a row.  `degree` reads the row, and `terms`, the nonzero
+    slots as (exponent vector, coefficient) in canonical order, is derived
+    once.  == and hash compare (nvars, terms), so one polynomial held in
+    blocks of different maxdeg is one value.  Instances are immutable.
+    """
+
+    def __init__(self, block: _SlotBlock, row: int) -> None:
+        if not isinstance(block, _SlotBlock):
+            raise TypeError("an MPoly is a row of a slot block: build it by from_terms or polys_from_slots")
+        object.__setattr__(self, "_slots", (block, row))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"MPoly is immutable: cannot set {name}")
 
     @staticmethod
     def from_terms(nvars: int, items, ctx: FieldCtx) -> "MPoly":
+        """sum of c * x^exps over (exps, c) in items, with every exponent
+        vector and coefficient checked and duplicates merged, as one row at
+        maxdeg = its degree; CapacityError past SLOT_LIMIT slots."""
         acc: dict[ExpVec, int] = {}
         for exps, c in items:
             exps = tuple(int(e) for e in exps)
@@ -274,33 +273,45 @@ class MPoly:
                 raise UsageError(f"bad exponent vector {exps} for {nvars} variables")
             ctx.check(c)
             acc[exps] = ctx.ops.add(acc[exps], c) if exps in acc else c
-        ordered = sorted(acc.items(), key=lambda t: term_sort_key(t[0]), reverse=True)
-        return MPoly(nvars, tuple((e, c) for e, c in ordered if c != 0))
+        maxdeg = max((sum(e) for e, c in acc.items() if c), default=0)
+        return polys_from_slots(nvars, maxdeg, [[acc.get(e, 0) for e in monomials(nvars, maxdeg)]])[0]
 
     @staticmethod
     def zero(nvars: int) -> "MPoly":
-        return MPoly(nvars, ())
+        return polys_from_slots(nvars, 0, [[0]])[0]
 
     @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return sum(self.terms[0][0]) if self.terms else -1
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def nvars(self) -> int:
+        return self._slots[0].nvars
 
     @cached_property
-    def _slots(self) -> tuple[_SlotBlock, int]:
-        """(block, row) holding self's coefficients: set by
-        `polys_from_slots`, else derived once from the terms into a block
-        of its own at max(degree, 0).  Kept in the instance dict, like
-        `coeffs_in_last_var`, so == and hash ignore it."""
-        maxdeg = max(self.degree, 0)
-        index = _slot_index(self.nvars, maxdeg)
-        row = [0] * len(index)
-        for exps, c in self.terms:
-            row[index[exps]] = c
-        return _SlotBlock(self.nvars, maxdeg, _int_array([row])), 0
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial.  Slots run by
+        descending degree, so the first nonzero slot gives it."""
+        block, i = self._slots
+        nonzero = np.flatnonzero(block.coeffs[i])
+        return sum(monomials(block.nvars, block.maxdeg)[nonzero[0]]) if len(nonzero) else -1
+
+    def is_zero(self) -> bool:
+        return self.degree < 0
+
+    @cached_property
+    def terms(self) -> tuple[tuple[ExpVec, int], ...]:
+        """The nonzero slots as (exponent vector, coefficient), in canonical order."""
+        block, i = self._slots
+        row = block.coeffs[i].tolist()
+        return tuple(zip(compress(monomials(block.nvars, block.maxdeg), row), filter(None, row)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.terms))
+
+    def __repr__(self) -> str:
+        return f"MPoly(nvars={self.nvars}, terms={self.terms!r})"
 
     def evaluate(self, point, ctx: FieldCtx) -> int:
         if len(point) != self.nvars:
@@ -321,8 +332,7 @@ class MPoly:
         as a univariate polynomial in X, indexed by j.
 
         Computed once per polynomial, since the certificate, the resultant
-        and the resultant backend all read it on a strip.  It is kept in
-        the instance dict, not in a field, so == and hash ignore it.
+        and the resultant backend all read it on a strip.
         """
         if self.nvars != 2:
             raise UsageError("coeffs_in_last_var expects a bivariate polynomial")
@@ -331,27 +341,6 @@ class MPoly:
         for (ex, ey), c in self.terms:
             cols[ey][ex] = c
         return tuple(upoly_trim([col.get(i, 0) for i in range(max(col, default=-1) + 1)]) for col in cols)
-
-    def term_strings(self) -> list[str]:
-        """Canonical textual form: one "c e1 e2 ... er" string per term."""
-        return [" ".join([str(c)] + [str(e) for e in exps]) for exps, c in self.terms]
-
-    @staticmethod
-    def from_term_strings(nvars: int, lines, ctx: FieldCtx) -> "MPoly":
-        items = []
-        for line in lines:
-            parts = line.split()
-            if len(parts) != nvars + 1:
-                raise UsageError(f"term {line!r} does not have 1 + {nvars} fields")
-            c = int(parts[0])
-            exps = tuple(int(x) for x in parts[1:])
-            items.append((exps, c))
-        seen = set()
-        for exps, _ in items:
-            if exps in seen:
-                raise UsageError(f"duplicate exponent vector {exps}")
-            seen.add(exps)
-        return MPoly.from_terms(nvars, items, ctx)
 
 
 # ---------------------------------------------------------------------------

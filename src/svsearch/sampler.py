@@ -60,12 +60,9 @@ class RngStream:
             if u < limit:
                 return u % n
 
-    def below_block(self, n: int, count: int) -> list[int]:
-        """[self.next_below(n) for _ in range(count)], leaving the same state."""
-        return self.below_array(n, count).tolist()
-
     def below_array(self, n: int, count: int) -> np.ndarray:
-        """below_block as an array: int64 for n <= 2^63, Python ints above.
+        """[self.next_below(n) for _ in range(count)], leaving the same
+        state, as an array: int64 for n <= 2^63, Python ints above.
 
         The k-th state after this one is state + k * gamma mod 2^64, so
         the block is one uint64 array pass (arrays wrap silently where
@@ -119,11 +116,6 @@ class SystemSpec:
         if len({f._slots[0] for f in self.polys}) > 1:
             # one slot block, so that each point substitutes all polynomials at once
             object.__setattr__(self, "polys", polys_from_slots(self.r, self.d, slot_array(self.polys, self.d)))
-
-    @property
-    def coeff_slots(self) -> int:
-        """Number of coefficient slots per polynomial."""
-        return check_slots(self.r, self.d)
 
     @property
     def hstar(self) -> int:

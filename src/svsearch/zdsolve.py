@@ -11,7 +11,6 @@ extension fields.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,8 +20,8 @@ import numpy as np
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx
 # resultant_y is not called here: perfbench/tracing.py looks it up on this module by name
-from .mpoly import (MPoly, lift_with_embedding, monomials, rational_roots, resultant_y, resultant_y_general,
-                    slot_array, y_poly_at)
+from .mpoly import (MPoly, lift_with_embedding, monomials, polys_from_slots, rational_roots, resultant_y,
+                    resultant_y_general, slot_array, y_poly_at)
 from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked
 
 GRID_LIMIT = 1 << 24
@@ -88,9 +87,9 @@ class _GridEval:
     prefix*q + x.  Grouping terms by their head, the exponents of the
     prefix, f = sum over heads h of prefix^h * line_h(x).  `head` holds
     prefix^h at every prefix (q^(s-1) x H).  Every line_h at every x
-    (H x q) comes from `slot_lines` over GF(p), for all polynomials at
-    once, and from `lines(f)` over GF(p^k).  A slab is `rows` whole
-    lines, about 2^16 cells over GF(p) and 2^14 in the log domain.
+    (H x q) comes from `slot_lines`, for all polynomials at once.  A slab
+    is `rows` whole lines, about 2^16 cells over GF(p) and 2^14 in the
+    log domain.
 
     Over GF(p) both are residues in the float type `_exact_float` picks,
     with m significand bits, so a slab, one matmul into a buffer the
@@ -119,9 +118,6 @@ class _GridEval:
             self.tab = np.ones((maxdeg + 1, q), dtype=np.int64)  # x^e
             for e in range(1, maxdeg + 1):
                 self.tab[e] = self.tab[e - 1] * xs % ctx.p
-            # the (head, last exponent) cell of every slot of monomials(s, maxdeg)
-            cells = [(self.heads[e[:-1]], e[-1]) for e in monomials(s, maxdeg)]
-            self._slot_cells = tuple(np.array(cells, dtype=np.intp).T)
         else:
             tabs = ctx.log_tables
             order = q - 1
@@ -138,6 +134,9 @@ class _GridEval:
                 # zech[lb - la + zero] needs no reduction mod q - 1
                 self.zech = np.tile(np.array(tabs.zech, dtype=np.int64), 2 * span + 1)
                 self.zech[self.zech < 0] = zero
+        # the (head, last exponent) cell of every slot of monomials(s, maxdeg)
+        cells = [(self.heads[e[:-1]], e[-1]) for e in monomials(s, maxdeg)]
+        self._slot_cells = tuple(np.array(cells, dtype=np.intp).T)
         # prefix^h at every prefix, one coordinate at a time (H x q^axis)
         exps = np.array(heads, dtype=np.int64).reshape(len(heads), s - 1)
         head = np.full((len(heads), 1), int(self.prime), dtype=np.int64)  # 1, or its log 0
@@ -158,20 +157,16 @@ class _GridEval:
         return np.where(a == 0, b, np.where(b == 0, a, total))
 
     def slot_lines(self, slots: np.ndarray) -> np.ndarray:
-        """Over GF(p): line_h(x) of every polynomial in slots (one row each by
-        slot of `monomials(s, maxdeg)`) for every head h and every x, as an
-        n x H x q array."""
+        """line_h(x) of every polynomial in slots (one row each by slot of
+        `monomials(s, maxdeg)`) for every head h and every x, as an
+        n x H x q array: residues over GF(p), logs over GF(p^k)."""
         cmat = np.zeros((len(slots), len(self.heads), len(self.tab)), dtype=np.int64)
         cmat[(slice(None), *self._slot_cells)] = slots
-        return (cmat @ self.tab % self.p).astype(self.dtype)
-
-    def lines(self, f: MPoly) -> np.ndarray:
-        """Over GF(p^k): line_h(x) of f for every head h and every x, as an H x q array of logs."""
-        vals = np.zeros((len(self.heads), self.q), dtype=np.int32)
-        for exps, c in f.terms:
-            h = self.heads[exps[:-1]]
-            vals[h] = self._add(vals[h], self.exp[self.log[c] + self.tab[exps[-1]]])
-        return self.log[vals]
+        if self.prime:
+            return (cmat @ self.tab % self.p).astype(self.dtype)
+        # the sum over the last exponent e of c * x^e, with the e axis first
+        logs = self.log[cmat].transpose(2, 0, 1)[..., None]
+        return self.log[self._log_sum(logs, self.tab[:, None, None, :])]
 
     def _log_sum(self, heads: np.ndarray, lines: np.ndarray) -> np.ndarray:
         vals = self.exp[heads[0] + lines[0]]
@@ -222,17 +217,11 @@ def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
     q, s = ctx.q, query.s
     if q ** s > GRID_LIMIT:
         raise CapacityError(f"grid of {q ** s} points exceeds 2^24")
+    if ctx.k > 1 and q > LOG_TABLE_LIMIT:
+        raise CapacityError(f"GF({q}) has no log tables (they stop at 2^16 elements) for a grid scan")
     polys = sorted(query.polys, key=MPoly.is_zero)  # a zero polynomial imposes nothing: last
-    if ctx.k > 1 and ctx.q > LOG_TABLE_LIMIT:
-        for point in itertools.product(ctx.elements(), repeat=s):
-            if all(f.evaluate(point, ctx) == 0 for f in polys):
-                yield point
-        return
     grid = _grid_eval(ctx, s, query.dmax)
-    if grid.prime:
-        first, *rest = grid.slot_lines(slot_array(polys, query.dmax))
-    else:
-        first, *rest = [grid.lines(f) for f in polys]
+    first, *rest = grid.slot_lines(slot_array(polys, query.dmax))
     prefixes, step = q ** (s - 1), grid.rows
     for lo in range(0, prefixes, step):
         cells = lo * q + np.flatnonzero(grid.zero(grid.slab(first, lo, min(lo + step, prefixes))))
@@ -364,7 +353,8 @@ def count_zeros_ext(query: ZeroDimQuery, e: int) -> int:
     if e == 1:
         return count_zeros(query)
     ext, embed, _ = lift_with_embedding(ctx, e)
-    lifted = tuple(MPoly(f.nvars, tuple((exps, embed(c)) for exps, c in f.terms)) for f in query.polys)
+    slots = slot_array(query.polys, query.dmax).tolist()
+    lifted = polys_from_slots(query.s, query.dmax, [list(map(embed, row)) for row in slots])
     lifted_query = ZeroDimQuery(ext, query.s, lifted, query.dmax)
     return count_zeros(lifted_query)
 

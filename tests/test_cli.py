@@ -1,13 +1,19 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svsearch.cli import main, parse_strips, system_from_text, system_to_text
 from svsearch.errors import UsageError
 from svsearch.ffield import prime_field
-from svsearch.mpoly import MPoly
+from svsearch.mpoly import MPoly, monomials
 from svsearch.sampler import SystemSpec
+from svsearch.zdsolve import BACKENDS
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +248,89 @@ def test_slot_cap_is_capacity_within_a_second(capsys, tmp_path, probe):
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert err.startswith("capacity:") and len(err.splitlines()) == 1
+
+
+def test_count_points_above_log_tables_is_capacity_within_a_second(capsys, tmp_path):
+    # X^8 + X over GF(8) is counted up to degree 8 = 2^24 points: GF(2^18)
+    # at degree 6 already has no log tables for the grid scan
+    doc = {"q": 8, "r": 1, "s": 1, "d": 8, "polynomials": [[{"c": 1, "e": [8]}, {"c": 1, "e": [1]}]]}
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "count-points", "--system", make_system_file(tmp_path, doc))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:") and len(err.splitlines()) == 1
+
+
+def _term(e, c):
+    return {"c": c, "e": list(e)}
+
+
+@st.composite
+def cli_cases(draw):
+    """argv for solve or count-points on a system file: a valid small
+    system, or one with a single fault."""
+    solve = draw(st.booleans())
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    r = draw(st.integers(3 if solve else 1, 4))
+    s = draw(st.integers(2, r - 1) if solve else st.integers(1, r))
+    d = draw(st.integers(2 if solve else 1, 3))
+    exps = monomials(r, d)
+    term = st.builds(_term, st.sampled_from(exps), st.integers(1, q - 1))
+    polys = [draw(st.lists(term, max_size=4, unique_by=lambda t: tuple(t["e"]))) for _ in range(s)]
+    doc = {"q": q, "r": r, "s": s, "d": d, "polynomials": polys}
+    poly = draw(st.sampled_from(polys))
+    fault = draw(st.sampled_from(
+        ["none", "missing", "not_integer", "bad_exponents", "bad_coefficient", "duplicate", "count", "slot_cap"]
+    ))
+    if fault == "missing":
+        if poly and draw(st.booleans()):
+            del poly[0][draw(st.sampled_from(["c", "e"]))]
+        else:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault == "not_integer":
+        bad = draw(st.sampled_from(["x", None, [1], {"c": 1}, 2.5, "1e3"]))
+        if poly and draw(st.booleans()):
+            poly[0][draw(st.sampled_from(["c", "e"]))] = bad
+        else:
+            doc[draw(st.sampled_from(sorted(doc)))] = bad
+    elif fault == "bad_exponents":
+        e = draw(st.sampled_from([[-1] + [0] * (r - 1), [0] * (r + 1), [1] * (r + 1)]))
+        poly.append(_term(e, 1))
+    elif fault == "bad_coefficient":
+        poly.append(_term([0] * r, draw(st.sampled_from([0, -1, q, q + 1]))))
+    elif fault == "duplicate":
+        poly.extend([_term([0] * r, 1)] * 2)
+    elif fault == "count" and draw(st.booleans()):
+        polys.append([])
+    elif fault == "count":
+        polys.pop()
+    elif fault == "slot_cap":
+        doc.update(r=12, s=2, d=12, polynomials=[[_term([12] + [0] * 11, 1)], []])
+    strip = ",".join(str(draw(st.integers(0, q - 1))) for _ in range(max(r - s, 1)))
+    if solve:
+        argv = ["solve", "--seed", str(draw(st.integers(0, 9))), "--backend", draw(st.sampled_from(BACKENDS))]
+    else:
+        argv = ["oracle", "count-points"] + ["--strip", strip] * (s < r or draw(st.booleans()))
+    return doc, argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_cases())
+def test_cli_exit_codes_on_generated_system_files(tmp_path_factory, case):
+    doc, argv = case
+    path = tmp_path_factory.mktemp("cli") / "system.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with patch("svsearch.mc.Pool", side_effect=AssertionError("no worker process")), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--system", str(path)])
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:" if code == 2 else "capacity:")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        json.loads(out.getvalue())
 
 
 def test_gen_solve_pipeline(capsys, tmp_path):

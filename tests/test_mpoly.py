@@ -14,7 +14,6 @@ from svsearch.mpoly import (
     resultant_y_general,
     polys_from_slots,
     slot_array,
-    term_sort_key,
 )
 from svsearch.upoly import (
     is_squarefree,
@@ -58,7 +57,7 @@ def test_monomials_count_and_order():
     # sampling and specialize build terms in this order without sorting
     for r in range(1, 6):
         for d in range(5):
-            assert monomials(r, d) == tuple(sorted(monomials(r, d), key=term_sort_key, reverse=True))
+            assert monomials(r, d) == tuple(sorted(monomials(r, d), key=lambda e: (sum(e), e), reverse=True))
 
 
 def test_monomials_of_no_variables():
@@ -73,24 +72,6 @@ def test_canonical_form_merges_and_drops():
     f = P(2, [((1, 0), 2), ((1, 0), 3), ((0, 1), 4)], c5)  # 2+3 = 0 mod 5
     assert f.terms == (((0, 1), 4),)
     assert MPoly.zero(3).degree == -1
-
-
-def test_term_string_roundtrip():
-    c7 = prime_field(7)
-    rng = RngStream(11, 0)
-    for _ in range(50):
-        f = random_poly(3, 3, c7, rng)
-        g = MPoly.from_term_strings(3, f.term_strings(), c7)
-        assert f == g
-        # shuffled input parses to the same canonical form
-        lines = f.term_strings()[::-1]
-        assert MPoly.from_term_strings(3, lines, c7) == f
-
-
-def test_duplicate_terms_rejected_on_parse():
-    c3 = prime_field(3)
-    with pytest.raises(UsageError):
-        MPoly.from_term_strings(2, ["1 1 0", "2 1 0"], c3)
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +150,15 @@ def ref_evaluate(f, point, ctx):
 
 
 def ref_specialize(f, a, ctx):
-    """specialize by accumulating tails in a dict, then sorting."""
+    """specialize term by term, merging the tails through from_terms."""
     m = len(a)
-    acc = {}
+    items = []
     for exps, c in f.terms:
         v = c
         for x, e in zip(a, exps):
             v = ctx.mul(v, ctx.pow(x, e))
-        tail = exps[m:]
-        acc[tail] = ctx.add(acc.get(tail, 0), v)
-    ordered = sorted(acc.items(), key=lambda t: term_sort_key(t[0]), reverse=True)
-    return MPoly(f.nvars - m, tuple((e, c) for e, c in ordered if c))
+        items.append((exps[m:], v))
+    return MPoly.from_terms(f.nvars - m, items, ctx)
 
 
 # q = 2^17 is above LOG_TABLE_LIMIT: digit arithmetic, not log tables.
@@ -214,7 +193,7 @@ def poly_and_point(draw):
     if heads:
         # c1 a^h1 + c2 a^h2 = 0 for c2 = -c1 a^h1 / a^h2
         h2 = draw(st.sampled_from(heads))
-        v1, v2 = (ref_evaluate(MPoly(m, ((h, 1),)), point[:m], ctx) for h in (e1[:m], h2))
+        v1, v2 = (ref_evaluate(MPoly.from_terms(m, [(h, 1)], ctx), point[:m], ctx) for h in (e1[:m], h2))
         if v2:
             c1 = draw(elt)
             c2 = ctx.neg(ctx.mul(ctx.mul(c1, v1), ctx.inv(v2)))
@@ -286,6 +265,58 @@ def test_block_keeps_the_last_point_per_field():
     for ctx in (gf7, gf8, gf7):
         for h in (f, g, f):
             assert h.specialize((4,), ctx) == ref_specialize(h, (4,), ctx)
+
+
+@st.composite
+def term_lists(draw):
+    """A field, nvars, a shuffled term list that may repeat exponent
+    vectors or cancel to zero, and a field element to specialize at."""
+    ctx = SLOT_FIELDS[draw(st.sampled_from(sorted(SLOT_FIELDS)))]
+    nvars = draw(st.integers(1, 3))
+    exps = monomials(nvars, draw(st.integers(0, 4)))
+    elt = st.integers(0, ctx.q - 1)
+    items = draw(st.lists(st.tuples(st.sampled_from(exps), elt), max_size=10))
+    if items:
+        items += [(e, draw(elt)) for e, _ in draw(st.lists(st.sampled_from(items), max_size=4))]
+        if draw(st.booleans()):
+            items += [(e, ctx.neg(c)) for e, c in items]  # sums to zero
+    return ctx, nvars, draw(st.permutations(items)), draw(elt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists(), st.integers(1, 2))
+def test_polynomial_is_canonical_however_built(case, extra):
+    ctx, nvars, items, a = case
+    acc = {}
+    for e, c in items:
+        acc[e] = ctx.add(acc.get(e, 0), c)
+    ref = tuple(sorted(((e, c) for e, c in acc.items() if c), key=lambda t: (sum(t[0]), t[0]), reverse=True))
+    degree = sum(ref[0][0]) if ref else -1
+    maxdeg = max(degree, 0) + extra
+
+    slots = [0] * len(monomials(nvars, maxdeg))
+    for e, c in ref:
+        slots[monomials(nvars, maxdeg).index(e)] = c
+    # one more leading variable, set to a by specialize: the term c x^e
+    # becomes (c / a^k) x0^k x^e for some k that keeps the degree <= maxdeg
+    lifted = []
+    for i, (e, c) in enumerate(ref):
+        k = min(i % 3, maxdeg - sum(e)) if a else 0
+        lifted.append(((k,) + e, ctx.mul(c, ctx.inv(ctx.pow(a, k))) if k else c))
+    wide = MPoly.from_terms(nvars + 1, lifted, ctx)
+    (block,) = polys_from_slots(nvars + 1, maxdeg, slot_array([wide], maxdeg))
+
+    built = (
+        MPoly.from_terms(nvars, items, ctx),
+        polys_from_slots(nvars, maxdeg, [slots])[0],
+        block.specialize((a,), ctx),
+    )
+    for f in built:
+        assert f.nvars == nvars and f.terms == ref
+        assert f.degree == degree and f.is_zero() == (not ref)
+        assert f == built[0] and hash(f) == hash(built[0])
+    assert (built[0] == MPoly.zero(nvars)) == (not ref)
+    assert built[0]._slots[0].maxdeg == max(degree, 0)  # terms that cancel do not widen the row
 
 
 # ---------------------------------------------------------------------------

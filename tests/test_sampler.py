@@ -51,16 +51,16 @@ BLOCK_BOUNDS = (1, 2, 3, 31, 256, 1009, 2**31 - 1, 2**32, 2**63 + 1, 2**64 - 1)
 )
 def test_below_block_equals_scalar_draws(seed, stream_id, n, count):
     block, scalar = RngStream(seed, stream_id), RngStream(seed, stream_id)
-    assert block.below_block(n, count) == [scalar.next_below(n) for _ in range(count)]
+    assert block.below_array(n, count).tolist() == [scalar.next_below(n) for _ in range(count)]
     assert block.state == scalar.state
     assert block.next_u64() == scalar.next_u64()
 
 
 def test_below_block_types_and_bad_bound():
     rng = RngStream(4, 2)
-    assert all(type(v) is int for v in rng.below_block(31, 10))
+    assert all(type(v) is int for v in rng.below_array(31, 10).tolist())
     with pytest.raises(UsageError):
-        rng.below_block(0, 3)
+        rng.below_array(0, 3)
 
 
 def test_sample_system_shape_and_determinism():
@@ -68,7 +68,7 @@ def test_sample_system_shape_and_determinism():
     rng = RngStream(3, 0)
     system = sample_system(ctx, 3, 2, 2, rng)
     assert len(system.polys) == 2
-    assert system.coeff_slots == 10  # C(5, 3)
+    assert check_slots(3, 2) == 10  # C(5, 3)
     assert all(f.degree <= 2 for f in system.polys)
     again = sample_system(ctx, 3, 2, 2, RngStream(3, 0))
     assert again == system
@@ -376,7 +376,7 @@ def test_system_polys_share_one_slot_block():
     for ctx in (prime_field(31), prime_field(2**31 - 1), field_for_order(4)):
         system = sample_system(ctx, 4, 2, 3, RngStream(5, 0))
         slots = slot_array(system.polys, 3)
-        assert slots.dtype == np.int64 and slots.shape == (2, system.coeff_slots)
+        assert slots.dtype == np.int64 and slots.shape == (2, check_slots(4, 3))
         assert not system.polys[0]._slots[0].coeffs.flags.writeable
         terms = tuple(MPoly.from_terms(4, f.terms, ctx) for f in system.polys)
         derived = SystemSpec(ctx, 4, 2, 3, terms)

@@ -100,8 +100,7 @@ def test_log_grid_matches_evaluate_and_resultant(q):
     for d in (1, 2, 3, 3):
         query = random_query(ctx, 2, d, rng)
         grid = _GridEval(ctx, 2, d)
-        for f in query.polys:
-            lines = grid.lines(f)
+        for f, lines in zip(query.polys, grid.slot_lines(slot_array(query.polys, d))):
             cells = [(0, 0), (0, q - 1), (q - 1, 0)]
             cells += [(rng.next_below(q), rng.next_below(q)) for _ in range(60)]
             for x, y in cells:
@@ -324,13 +323,18 @@ def test_find_zero_grid_order_deterministic():
 
 @pytest.mark.parametrize("q", [1 << 17, 3**11])
 def test_find_zero_digit_arithmetic_above_table_limit(q):
-    # extension fields above LOG_TABLE_LIMIT take _zeros_exhaustive's
-    # point-by-point branch; find_zero stops at the first zero
+    # extension fields above LOG_TABLE_LIMIT have no log tables for the
+    # grid scan: the exhaustive backend refuses them, even when the grid
+    # is below GRID_LIMIT, rather than walk it point by point
     ctx = field_for_order(q)
-    assert ctx.k > 1 and q > LOG_TABLE_LIMIT
+    assert ctx.k > 1 and q > LOG_TABLE_LIMIT and q <= zdsolve.GRID_LIMIT
     a, b = 3, 5
     f = P(1, [((2,), 1), ((1,), ctx.neg(ctx.add(a, b))), ((0,), ctx.mul(a, b))], ctx)
-    assert find_zero(ZeroDimQuery(ctx, 1, (f,), 2)) == (a,)
+    query = ZeroDimQuery(ctx, 1, (f,), 2)
+    with pytest.raises(CapacityError):
+        find_zero(query)
+    with pytest.raises(CapacityError):
+        count_zeros(query)
 
 
 def test_certificate_examples():
