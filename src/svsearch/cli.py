@@ -19,7 +19,7 @@ from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, field_for_order
 from .mpoly import MPoly
 from .mc import exhaustive_p1, exhaustive_sk, records_to_csv, run_experiment
-from .sampler import RngStream, SystemSpec, sample_system
+from .sampler import RngStream, SystemSpec, check_strips, sample_system
 from .svs import run_svs
 from .theory import fraction_text, theory_report
 from .zdsolve import BACKENDS, ZeroDimQuery, distinct_geometric_points
@@ -55,28 +55,32 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """A system-file number: a JSON integer, not a float, bool or string."""
+    if type(value) is not int:
+        raise UsageError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def _system_fields(text: str) -> tuple[FieldCtx, int, int, int, tuple[MPoly, ...]]:
-    """Parse and check a system file into (ctx, r, s, d, polys)."""
+    """Parse a system file into (ctx, r, s, d, polys) under the file's rules: integer
+    numbers, terms of degree <= d, nonzero coefficients, no repeated exponent vector."""
     try:
         doc = json.loads(text)
-        q, r, s, d = (int(doc[k]) for k in ("q", "r", "s", "d"))
+        q, r, s, d = (_integer(doc[k], k) for k in ("q", "r", "s", "d"))
         polys_doc = [
-            [(tuple(int(x) for x in term["e"]), int(term["c"])) for term in terms]
+            [(tuple(_integer(x, "exponent") for x in term["e"]), _integer(term["c"], "c")) for term in terms]
             for terms in doc["polynomials"]
         ]
     except KeyError as exc:
         raise UsageError(f"system file missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed system file: {exc}") from exc
     ctx = field_for_order(q)
-    if len(polys_doc) != s:
-        raise UsageError(f"expected {s} polynomials, found {len(polys_doc)}")
     polys = []
     for terms in polys_doc:
         seen = set()
         for e, c in terms:
-            if len(e) != r:
-                raise UsageError(f"exponent vector {e} does not have {r} entries")
             if sum(e) > d:
                 raise UsageError(f"term degree {sum(e)} exceeds bound {d}")
             if not 1 <= c < q:
@@ -93,21 +97,14 @@ def system_from_text(text: str) -> SystemSpec:
 
 
 def parse_strips(text: str, m: int, ctx) -> list[tuple[int, ...]]:
-    """Parse "c1,c2;c1,c2" into strips of m coordinates each."""
+    """Parse "c1,c2;c1,c2" into pairwise-distinct strips of m field elements each."""
     strips = []
     for part in text.split(";"):
         try:
-            coords = tuple(int(x) for x in part.split(",") if x.strip() != "")
+            strips.append(tuple(int(x) for x in part.split(",") if x.strip() != ""))
         except ValueError as exc:
             raise UsageError(f"strip {part!r} is not a list of integers") from exc
-        if len(coords) != m:
-            raise UsageError(f"strip {part!r} must have {m} coordinates")
-        for x in coords:
-            ctx.check(x)
-        strips.append(coords)
-    if len(set(strips)) != len(strips):
-        raise UsageError("strips must be pairwise distinct")
-    return strips
+    return check_strips(strips, m, ctx)
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -181,7 +178,10 @@ def cmd_experiment(args) -> int:
         os.path.join(args.out, "summary.json"),
         json.dumps(summary, indent=2, default=_jsonify) + "\n",
     )
-    return EXIT_OK if summary["aborted"] == 0 else EXIT_CAPACITY
+    if summary["aborted"]:
+        print(f"capacity: {summary['aborted']} of {args.trials} trials aborted", file=sys.stderr)
+        return EXIT_CAPACITY
+    return EXIT_OK
 
 
 def cmd_theory(args) -> int:
@@ -220,8 +220,12 @@ def cmd_oracle(args) -> int:
         system = SystemSpec(ctx, r, s, d, polys)  # checks 1 < s < r, shares one slot block
         if args.strip is None:
             raise UsageError("count-points needs --strip for an underdetermined system")
-        strip = parse_strips(args.strip, r - s, ctx)[0]
-        polys = tuple(f.specialize(strip, ctx) for f in system.polys)
+        strips = parse_strips(args.strip, r - s, ctx)
+        if len(strips) != 1:
+            raise UsageError(f"count-points takes one strip, got {len(strips)}")
+        polys = tuple(f.specialize(strips[0], ctx) for f in system.polys)
+    elif args.strip is not None:
+        raise UsageError("--strip applies only to an underdetermined system (s < r)")
     query = ZeroDimQuery(ctx, s, polys, d)
     count = distinct_geometric_points(query)
     sys.stdout.write(json.dumps({"distinct_geometric_points": count}) + "\n")
@@ -239,11 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def shape_arguments(command, required=True):
+        command.add_argument("--q", type=int, required=required, help="field order (prime power)")
+        command.add_argument("--r", type=int, required=required, help="number of variables")
+        command.add_argument("--s", type=int, required=required, help="number of equations (1 < s < r)")
+        command.add_argument("--d", type=int, required=required, help="degree bound")
+
     gen = sub.add_parser("gen", help="emit a random system file on stdout")
-    gen.add_argument("--q", type=int, required=True, help="field order (prime power)")
-    gen.add_argument("--r", type=int, required=True, help="number of variables")
-    gen.add_argument("--s", type=int, required=True, help="number of equations (1 < s < r)")
-    gen.add_argument("--d", type=int, required=True, help="degree bound (>= 2)")
+    shape_arguments(gen)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--allow-zero", action=argparse.BooleanOptionalAction, default=True,
                      help="sample the full coefficient space (zero polynomial included)")
@@ -260,10 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=cmd_solve)
 
     exp = sub.add_parser("experiment", help="Monte Carlo batch; writes CSV + summary")
-    exp.add_argument("--q", type=int, required=True)
-    exp.add_argument("--r", type=int, required=True)
-    exp.add_argument("--s", type=int, required=True)
-    exp.add_argument("--d", type=int, required=True)
+    shape_arguments(exp)
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--seed", type=int, required=True)
     exp.add_argument("--backend", choices=BACKENDS, default="exhaustive")
@@ -274,20 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=cmd_experiment)
 
     theory = sub.add_parser("theory", help="print the bound report for a parameter set")
-    theory.add_argument("--q", type=int, required=True)
-    theory.add_argument("--r", type=int, required=True)
-    theory.add_argument("--s", type=int, required=True)
-    theory.add_argument("--d", type=int, required=True)
+    shape_arguments(theory)
     theory.add_argument("--h", type=int, default=None, help="largest strip index to report")
     theory.add_argument("--omega", type=float, default=3.0)
     theory.set_defaults(func=cmd_theory)
 
     oracle = sub.add_parser("oracle", help="exact brute-force baselines")
     oracle.add_argument("oracle", choices=tuple(_ORACLE_ARGS))
-    oracle.add_argument("--q", type=int)
-    oracle.add_argument("--r", type=int)
-    oracle.add_argument("--s", type=int)
-    oracle.add_argument("--d", type=int)
+    shape_arguments(oracle, required=False)
     oracle.add_argument("--strips", default=None, help='strips for sk-exhaustive, "0;1"')
     oracle.add_argument("--system", default=None, help="system file for count-points")
     oracle.add_argument("--strip", default=None, help="strip to specialize for count-points")

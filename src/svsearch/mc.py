@@ -19,8 +19,8 @@ from multiprocessing import Pool
 
 from .errors import CapacityError, UsageError
 from .ffield import FieldCtx, FMatrix, field_for_order, matrix_rank
-from .mpoly import monomial_row
-from .sampler import RngStream, Strip, m_matrix, sample_system
+from .mpoly import check_slots, monomial_row
+from .sampler import RngStream, Strip, check_shape, check_strips, m_matrix, sample_system
 from .svs import run_svs
 from .theory import (
     BoundInterval,
@@ -214,6 +214,8 @@ def run_experiment(
         raise UsageError(f"strip budget hstar must be >= 1, got {hstar}")
     if workers < 1:
         raise UsageError(f"need at least one worker, got {workers}")
+    check_shape(r, s, d)
+    check_slots(r, d)
     ctx = field_for_order(q)
     hstar = hstar if hstar is not None else r - s + 1
     workers = min(workers, n_trials, os.cpu_count() or 1)  # records do not depend on the count
@@ -420,8 +422,7 @@ def exhaustive_p1(q: int, r: int, s: int, d: int) -> Fraction:
     so p1 depends on neither the strip nor r: it is computed at r = s + 1
     on the strip (0,), whose monomial rows are as narrow as they get.
     """
-    if not 1 < s < r:
-        raise UsageError(f"need 1 < s < r, got s={s}, r={r}")
+    check_shape(r, s, d, min_degree=1)
     return exhaustive_sk(q, s + 1, s, d, [(0,)])[0]
 
 
@@ -432,19 +433,9 @@ def exhaustive_sk(q: int, r: int, s: int, d: int, strips: list[Strip]) -> tuple[
     hypothesis of the joint bound); the fraction is computed either way.
     """
     ctx = field_for_order(q)
-    if not 1 < s < r:
-        raise UsageError(f"need 1 < s < r, got s={s}, r={r}")
-    if d < 1:
-        raise UsageError(f"degree bound must be >= 1, got {d}")
-    strips = [tuple(a) for a in strips]
+    check_shape(r, s, d, min_degree=1)
+    strips = check_strips(strips, r - s, ctx)
     if not 1 <= len(strips) <= r - s + 1:
         raise UsageError(f"need 1 to {r - s + 1} strips, got {len(strips)}")
-    if len(set(strips)) != len(strips):
-        raise UsageError("strips must be distinct")
-    for a in strips:
-        if len(a) != r - s:
-            raise UsageError(f"strip {a} must have {r - s} coordinates")
-        for x in a:
-            ctx.check(x)
     value = _all_strips_hit(ctx, s, d, strips)
     return value, matrix_rank(m_matrix(strips), ctx) == len(strips)

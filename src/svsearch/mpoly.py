@@ -59,6 +59,18 @@ def check_slots(nvars: int, maxdeg: int) -> int:
     return n
 
 
+def check_polys(polys, count: int, nvars: int, maxdeg: int) -> None:
+    """UsageError unless polys are count polynomials in nvars variables,
+    each of degree <= maxdeg."""
+    if len(polys) != count:
+        raise UsageError(f"expected {count} polynomials, got {len(polys)}")
+    for f in polys:
+        if f.nvars != nvars:
+            raise UsageError(f"a polynomial has {f.nvars} variables, expected {nvars}")
+        if f.degree > maxdeg:
+            raise UsageError(f"polynomial degree {f.degree} exceeds the bound {maxdeg}")
+
+
 @lru_cache(maxsize=None)
 def monomials(nvars: int, maxdeg: int) -> tuple[ExpVec, ...]:
     """All exponent vectors of total degree <= maxdeg, graded-lex descending.

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, FMatrix
-from .mpoly import MPoly, check_slots, monomial_row, monomials, polys_from_slots, slot_array
+from .mpoly import MPoly, check_polys, check_slots, monomial_row, monomials, polys_from_slots, slot_array
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -90,6 +90,29 @@ class RngStream:
         return np.array([self.next_below(n) for _ in range(count)], dtype=np.int64 if n <= 1 << 63 else object)
 
 
+def check_shape(r: int, s: int, d: int, min_degree: int = 2) -> None:
+    """UsageError unless (r, s, d) is a search input: 1 < s < r equations
+    in r variables, with degree bound d >= 2 (>= 1 for the exact oracles)."""
+    if not 1 < s < r:
+        raise UsageError(f"need 1 < s < r, got s={s}, r={r}")
+    if d < min_degree:
+        raise UsageError(f"degree bound must be >= {min_degree}, got {d}")
+
+
+def check_strips(strips, m: int, ctx: FieldCtx) -> list[Strip]:
+    """strips as a list of tuples; UsageError unless each holds m field
+    elements and no two are equal."""
+    strips = [tuple(a) for a in strips]
+    for a in strips:
+        if len(a) != m:
+            raise UsageError(f"strip {a} must have {m} coordinates")
+        for x in a:
+            ctx.check(x)
+    if len(set(strips)) != len(strips):
+        raise UsageError("strips must be pairwise distinct")
+    return strips
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """An input instance: s polynomials of degree <= d in r variables."""
@@ -101,18 +124,9 @@ class SystemSpec:
     polys: tuple[MPoly, ...]
 
     def __post_init__(self) -> None:
-        if not 1 < self.s < self.r:
-            raise UsageError(f"need 1 < s < r, got s={self.s}, r={self.r}")
-        if self.d < 2:
-            raise UsageError(f"degree bound must be >= 2, got {self.d}")
+        check_shape(self.r, self.s, self.d)
         check_slots(self.r, self.d)
-        if len(self.polys) != self.s:
-            raise UsageError(f"expected {self.s} polynomials, got {len(self.polys)}")
-        for f in self.polys:
-            if f.nvars != self.r:
-                raise UsageError("polynomial variable count does not match r")
-            if f.degree > self.d:
-                raise UsageError("polynomial degree exceeds the bound d")
+        check_polys(self.polys, self.s, self.r, self.d)
         if len({f._slots[0] for f in self.polys}) > 1:
             # one slot block, so that each point substitutes all polynomials at once
             object.__setattr__(self, "polys", polys_from_slots(self.r, self.d, slot_array(self.polys, self.d)))
@@ -131,10 +145,7 @@ def sample_system(
     Slots follow the canonical monomial order.  With allow_zero=False an
     all-zero polynomial is rejected and redrawn.
     """
-    if not 1 < s < r:
-        raise UsageError(f"need 1 < s < r, got s={s}, r={r}")
-    if d < 2:
-        raise UsageError(f"degree bound must be >= 2, got {d}")
+    check_shape(r, s, d)
     nslots = check_slots(r, d)
     if allow_zero:
         # the draws of consecutive blocks are those of one block

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .sampler import RngStream, Strip, SystemSpec, sample_strips
+from .sampler import RngStream, Strip, SystemSpec, check_strips, sample_strips
 from .zdsolve import CertResult, ZeroDimQuery, cond_h_certificate, find_zero
 
 
@@ -102,14 +102,7 @@ def run_svs(
         raise UsageError(f"strip budget hstar must be >= 1, got {hstar}")
 
     if strips is not None:
-        strips = [tuple(a) for a in strips]
-        for a in strips:
-            if len(a) != m:
-                raise UsageError(f"strip {a} must have {m} coordinates")
-            for x in a:
-                ctx.check(x)
-        if len(set(strips)) != len(strips):
-            raise UsageError("explicit strips must be pairwise distinct")
+        strips = check_strips(strips, m, ctx)
         budget = hstar if hstar is not None else len(strips)
         if budget > len(strips):
             raise UsageError("budget exceeds the number of explicit strips")

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import prime_power
+from .sampler import check_shape
 
 STIRLING_CAP = 20
 UL_CAP = 32
@@ -439,10 +440,7 @@ def hypothesis_report(q: int, r: int, s: int, d: int, h: int | None = None) -> d
 def theory_report(q: int, r: int, s: int, d: int, hmax: int | None = None, omega: float = 3.0) -> dict:
     """Everything the formulas say about one parameter set, as one document."""
     prime_power(q)  # UsageError unless q is a prime power
-    if not 1 < s < r:
-        raise UsageError(f"need 1 < s < r, got s={s}, r={r}")
-    if d < 2:
-        raise UsageError(f"degree bound must be >= 2, got {d}")
+    check_shape(r, s, d)
     hstar = r - s + 1
     hmax = hstar if hmax is None else hmax
     sums_d = strip_sums(q, s, d)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx
 # resultant_y is not called here: perfbench/tracing.py looks it up on this module by name
-from .mpoly import (MPoly, lift_with_embedding, monomials, polys_from_slots, rational_roots, resultant_y,
+from .mpoly import (MPoly, check_polys, lift_with_embedding, monomials, polys_from_slots, rational_roots, resultant_y,
                     resultant_y_general, slot_array, y_poly_at)
 from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked
 
@@ -39,13 +39,7 @@ class ZeroDimQuery:
     def __post_init__(self) -> None:
         if self.s < 1:
             raise UsageError("need at least one variable")
-        if len(self.polys) != self.s:
-            raise UsageError(f"expected {self.s} polynomials, got {len(self.polys)}")
-        for f in self.polys:
-            if f.nvars != self.s:
-                raise UsageError("polynomial variable count must equal s")
-            if f.degree > self.dmax:
-                raise UsageError("polynomial degree exceeds dmax")
+        check_polys(self.polys, self.s, self.s, self.dmax)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -95,6 +96,26 @@ def test_system_file_validation():
         system_from_text(json.dumps(dup))
     with pytest.raises(UsageError):
         system_from_text("not json")
+    # numbers are JSON integers: a float, bool or string is refused, not truncated
+    for path, bad in [(("q",), 5.9), (("d",), 2.0), (("s",), True), (("r",), "3"), ((0, 0, "c"), 1.5),
+                      ((0, 0, "c"), True), ((0, 0, "c"), "1"), ((1, 0, "e"), [0, 2.7, 0]),
+                      ((1, 0, "e"), [0, 0, True]), ((1, 0, "e"), ["0", "0", "1"])]:
+        doc = json.loads(json.dumps(base))
+        *keys, last = path
+        node = doc["polynomials"] if keys else doc
+        for k in keys:
+            node = node[k]
+        node[last] = bad
+        with pytest.raises(UsageError, match="JSON integer"):
+            system_from_text(json.dumps(doc))
+
+
+def test_solve_refuses_non_integer_numbers(capsys, tmp_path):
+    doc = {"q": 5.9, "r": 3, "s": 2, "d": 2,
+           "polynomials": [[{"c": 1.5, "e": [0, 0, 0]}], [{"c": True, "e": [0, 2.7, 0]}]]}
+    code, out, err = run_cli(capsys, "solve", "--strips", "2", "--system", make_system_file(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_solve_success_and_exit_codes(capsys, tmp_path):
@@ -213,6 +234,15 @@ def test_experiment_nonpositive_workers_usage_error(capsys, tmp_path, workers):
     assert not out_dir.exists()
 
 
+def test_experiment_aborted_trials_exit_with_one_capacity_line(capsys, tmp_path):
+    # GF(4099)^2 is past the exhaustive grid's cap: every trial aborts
+    argv = ["experiment", "--q", "4099", "--r", "4", "--s", "2", "--d", "2", "--trials", "2", "--seed", "1"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err == "capacity: 2 of 2 trials aborted\n"
+    assert json.loads((tmp_path / "summary.json").read_text())["aborted"] == 2
+
+
 def test_solve_capacity_exit_code(capsys, tmp_path):
     doc = {
         "q": 4099,
@@ -288,7 +318,7 @@ def cli_cases(draw):
         else:
             del doc[draw(st.sampled_from(sorted(doc)))]
     elif fault == "not_integer":
-        bad = draw(st.sampled_from(["x", None, [1], {"c": 1}, 2.5, "1e3"]))
+        bad = draw(st.sampled_from(["x", None, [0.5], {"c": 1}, 2.5, 5.0, "1e3", "2", True, False]))
         if poly and draw(st.booleans()):
             poly[0][draw(st.sampled_from(["c", "e"]))] = bad
         else:
@@ -311,13 +341,13 @@ def cli_cases(draw):
         argv = ["solve", "--seed", str(draw(st.integers(0, 9))), "--backend", draw(st.sampled_from(BACKENDS))]
     else:
         argv = ["oracle", "count-points"] + ["--strip", strip] * (s < r or draw(st.booleans()))
-    return doc, argv
+    return doc, argv, fault
 
 
 @settings(max_examples=80, deadline=None)
 @given(cli_cases())
 def test_cli_exit_codes_on_generated_system_files(tmp_path_factory, case):
-    doc, argv = case
+    doc, argv, fault = case
     path = tmp_path_factory.mktemp("cli") / "system.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -325,11 +355,102 @@ def test_cli_exit_codes_on_generated_system_files(tmp_path_factory, case):
             redirect_stdout(out), redirect_stderr(err):
         code = main(argv + ["--system", str(path)])
     assert code in (0, 1, 2, 3)
+    if fault == "not_integer":
+        assert code == 2
     if code in (2, 3):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:" if code == 2 else "capacity:")
         assert len(err.getvalue().splitlines()) == 1
     else:
+        json.loads(out.getvalue())
+
+
+COMMAND_FAULTS = {
+    "gen": ["s_ge_r", "d_low", "q", "slot_cap"],
+    "experiment": ["s_ge_r", "d_low", "q", "slot_cap", "hstar", "workers"],
+    "theory": ["s_ge_r", "d_low", "q", "slot_cap"],
+    "p1-exhaustive": ["s_ge_r", "d_low", "q", "slot_cap"],
+    "sk-exhaustive": ["s_ge_r", "d_low", "q", "slot_cap", "malformed", "short", "long", "duplicate", "outside"],
+}
+
+
+@st.composite
+def command_cases(draw):
+    """argv for gen, experiment, theory or an exhaustive oracle with small
+    valid parameters, or with one fault, and the exit codes it may give."""
+    command = draw(st.sampled_from(sorted(COMMAND_FAULTS)))
+    oracle = command.endswith("-exhaustive")
+    fault = draw(st.sampled_from(COMMAND_FAULTS[command])) if draw(st.booleans()) else "none"
+    sk = command == "sk-exhaustive"
+    q = draw(st.sampled_from([2, 3, 4] if sk else [2, 3, 4, 5, 7, 8, 9]))
+    r = draw(st.integers(3, 4 if sk else 5))
+    s = draw(st.integers(2, r - 1))
+    d = draw(st.integers(1 if oracle else 2, 2 if sk else 3))
+    expected = {0, 3} if oracle else {0}  # an oracle may pass the 2^26 enumeration cap
+    if fault == "s_ge_r":
+        s, expected = draw(st.integers(r, r + 1)), {2}
+    elif fault == "d_low":
+        d, expected = draw(st.integers(-1, 0 if oracle else 1)), {2}
+    elif fault == "q":
+        q, expected = draw(st.sampled_from([-3, 0, 1, 6, 10, 12])), {2}
+    elif fault == "slot_cap":
+        # C(r + d, r) > 2^16; theory only reports the count, and p1 is computed at r = s + 1
+        r, s, d = draw(st.sampled_from([(12, 2, 12), (40, 2, 40), (9, 3, 16)]))
+        expected = {"theory": {0}, "p1-exhaustive": {0, 3}}.get(command, {3})
+    argv = ["oracle", command] if oracle else [command]
+    argv += ["--q", str(q), "--r", str(r), "--s", str(s), "--d", str(d)]
+    if command in ("gen", "experiment"):
+        argv += ["--seed", str(draw(st.integers(0, 9)))]
+    if command == "experiment":
+        backend = draw(st.sampled_from(BACKENDS))
+        hstar = draw(st.integers(1, min(3, max(q, 2) ** max(r - s, 0))))
+        workers = draw(st.integers(1, 3))
+        if fault == "hstar":
+            hstar, expected = draw(st.integers(-1, 0)), {2}
+        elif fault == "workers":
+            workers, expected = draw(st.integers(-2, 0)), {2}
+        elif fault == "none" and backend == "resultant" and s != 2:
+            expected = {3}  # each trial aborts: the resultant backend supports s = 2 only
+        argv += ["--trials", str(draw(st.integers(1, 3))), "--backend", backend,
+                 "--hstar", str(hstar), "--workers", str(workers)] + ["--certify"] * draw(st.booleans())
+    if sk:
+        m = max(r - s, 1)
+        pool = list(itertools.islice(itertools.product(range(max(q, 2)), repeat=m), 64))
+        strips = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max(1, min(r - s + 1, 3)), unique=True))
+        strips = [list(a) for a in strips]
+        if fault in ("malformed", "short", "long", "duplicate", "outside"):
+            expected = {2}
+        if fault == "short":
+            strips[0].pop()
+        elif fault == "long":
+            strips[0].append(0)
+        elif fault == "duplicate":
+            strips.append(strips[0])
+        elif fault == "outside":
+            strips[0][0] = q
+        text = ";".join(",".join(map(str, a)) for a in strips)
+        if fault == "malformed":
+            text = draw(st.sampled_from(["x", text + ";y", text.replace(",", ".", 1) if m > 1 else "0.5", "1,,x"]))
+        argv += ["--strips", text]
+    return argv, expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(command_cases())
+def test_cli_exit_codes_on_every_command(tmp_path_factory, case):
+    argv, expected = case
+    if argv[0] == "experiment":
+        argv = argv + ["--out", str(tmp_path_factory.mktemp("experiment"))]
+    out, err = io.StringIO(), io.StringIO()
+    with patch("svsearch.mc.Pool", side_effect=AssertionError("no worker process")), \
+            patch("svsearch.mc.os.cpu_count", return_value=1), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in expected, (argv, err.getvalue())
+    if code in (2, 3):
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:" if code == 2 else "capacity:")
+        assert len(err.getvalue().splitlines()) == 1
+    elif argv[0] != "experiment":
         json.loads(out.getvalue())
 
 
@@ -479,7 +600,7 @@ def test_parse_strips():
     assert parse_strips("2,3;4,0", 2, ctx) == [(2, 3), (4, 0)]
     with pytest.raises(UsageError):
         parse_strips("2,3;2,3", 2, ctx)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="must have 2 coordinates"):
         parse_strips("2", 2, ctx)
     with pytest.raises(UsageError):
         parse_strips("7", 1, ctx)
@@ -520,3 +641,16 @@ def test_oracle_count_points_with_strip(capsys, tmp_path):
     assert json.loads(out)["distinct_geometric_points"] == 2
     code, _, err = run_cli(capsys, "oracle", "count-points", "--system", path)
     assert code == 2 and "strip" in err
+
+
+def test_oracle_count_points_strip_rules(capsys, tmp_path):
+    # one strip for an underdetermined system, none for a square one
+    under = {"q": 2, "r": 3, "s": 2, "d": 2, "polynomials": [[{"c": 1, "e": [0, 1, 0]}], [{"c": 1, "e": [0, 0, 1]}]]}
+    square = {"q": 2, "r": 2, "s": 2, "d": 2, "polynomials": [[{"c": 1, "e": [1, 0]}], [{"c": 1, "e": [0, 1]}]]}
+    for doc, strip in ((under, "0;1"), (under, "0;0"), (under, "0,1"), (square, "0"), (square, "")):
+        path = make_system_file(tmp_path, doc)
+        code, out, err = run_cli(capsys, "oracle", "count-points", "--system", path, "--strip", strip)
+        assert code == 2 and out == "", (doc["r"], strip)
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, out, _ = run_cli(capsys, "oracle", "count-points", "--system", make_system_file(tmp_path, square))
+    assert code == 0 and json.loads(out) == {"distinct_geometric_points": 1}

@@ -94,6 +94,33 @@ def test_worker_count_is_clamped_before_any_pool(monkeypatch):
         assert records_to_csv(records) == "\n".join(serial.split("\n")[: trials + 1]) + "\n"
 
 
+@pytest.mark.parametrize(
+    "params, error",
+    [
+        (dict(r=4, s=4, d=2), UsageError),  # s >= r
+        (dict(r=3, s=4, d=2), UsageError),
+        (dict(r=4, s=2, d=1), UsageError),  # d < 2
+        (dict(r=12, s=2, d=12), CapacityError),  # C(24, 12) slots > 2^16
+        (dict(n_trials=0), UsageError),
+        (dict(hstar=0), UsageError),
+        (dict(workers=0), UsageError),
+        (dict(q=6), UsageError),  # not a prime power
+    ],
+    ids=["s_eq_r", "s_gt_r", "d_lt_2", "slot_cap", "no_trials", "hstar_0", "workers_0", "q_6"],
+)
+def test_run_experiment_refuses_before_any_pool(monkeypatch, params, error):
+    asked = []
+    monkeypatch.setattr(mc, "Pool", lambda workers: PoolRecorder(asked, workers))
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    args = dict(q=13, r=4, s=2, d=2, n_trials=6, seed=3, workers=2) | params
+    start = time.perf_counter()
+    with pytest.raises(error):
+        run_experiment(**args)
+    assert asked == [] and time.perf_counter() - start < 1
+    run_experiment(**(args | dict(r=4, s=2, d=2, n_trials=6, q=13, hstar=None, workers=2)))
+    assert asked == [2]  # the same call with valid inputs does ask for a pool
+
+
 def test_run_experiment_offset_merge():
     full, _ = run_experiment(13, 4, 2, 2, 50, seed=5)
     first, _ = run_experiment(13, 4, 2, 2, 25, seed=5, trial_offset=0)
@@ -338,6 +365,11 @@ def test_exhaustive_sk_validation():
         exhaustive_sk(2, 3, 2, 2, [])
     with pytest.raises(UsageError, match="must have 1 coordinates"):
         exhaustive_sk(2, 3, 2, 2, [(0, 0)])
+    with pytest.raises(UsageError):
+        exhaustive_sk(2, 3, 2, 2, [(2,)])  # not an element of GF(2)
+    with pytest.raises(UsageError, match=">= 1"):
+        exhaustive_sk(2, 3, 2, 0, [(0,)])
+    assert exhaustive_sk(2, 3, 2, 1, [(0,)])[0] == exhaustive_p1(2, 3, 2, 1)  # d = 1 is an oracle input
 
 
 def test_summary_all_passed_at_reference_parameters():

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from svsearch.errors import CapacityError, DomainError, UsageError
 from svsearch.ffield import field_for_order, matrix_rank, prime_field
-from svsearch.mpoly import SLOT_LIMIT, MPoly, check_slots, monomials, slot_array
+from svsearch.mpoly import SLOT_LIMIT, MPoly, check_polys, check_slots, monomials, slot_array
 from svsearch.sampler import (
     RngStream,
     SystemSpec,
+    check_shape,
+    check_strips,
     condition_matrix,
     m_matrix,
     sample_strips,
@@ -83,6 +85,25 @@ def test_sample_system_rejects_bad_parameters():
         sample_system(ctx, 3, 3, 2, rng)
     with pytest.raises(UsageError):
         sample_system(ctx, 3, 2, 1, rng)
+
+
+def test_shape_strip_and_polynomial_rules():
+    ctx = prime_field(5)
+    for r, s, d in ((3, 1, 2), (3, 3, 2), (3, 4, 2), (3, 2, 1), (3, 2, -1)):
+        with pytest.raises(UsageError):
+            check_shape(r, s, d)
+    check_shape(3, 2, 2)
+    check_shape(3, 2, 1, min_degree=1)
+    assert check_strips([[1, 2], (0, 4)], 2, ctx) == [(1, 2), (0, 4)]
+    assert check_strips([], 2, ctx) == []
+    for strips in ([(1,)], [(1, 2, 3)], [(1, 5)], [(1, -1)], [(1, True)], [(1, 2), (1, 2)]):
+        with pytest.raises(UsageError):
+            check_strips(strips, 2, ctx)
+    f = MPoly.from_terms(2, [((2, 0), 1)], ctx)
+    check_polys((f, f), 2, 2, 2)
+    for polys, count, nvars, maxdeg in (((f,), 2, 2, 2), ((f, f), 2, 3, 2), ((f, f), 2, 2, 1)):
+        with pytest.raises(UsageError):
+            check_polys(polys, count, nvars, maxdeg)
 
 
 def test_sample_system_allow_zero_toggle():

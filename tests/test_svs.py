@@ -52,8 +52,10 @@ def test_explicit_strip_validation():
     system = sample_system(c5, 3, 2, 2, RngStream(2, 0))
     with pytest.raises(UsageError):
         run_svs(system, strips=[(1,), (1,)])
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="must have 1 coordinates"):  # the wording of every strip entry point
         run_svs(system, strips=[(1, 2)])
+    with pytest.raises(UsageError):
+        run_svs(system, strips=[(5,)])  # not an element of GF(5)
     with pytest.raises(UsageError):
         run_svs(system)  # no strip source
     with pytest.raises(UsageError):
