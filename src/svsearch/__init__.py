@@ -1,7 +1,7 @@
 """Rational-point search on vertical strips over finite fields."""
 
 from .errors import CapacityError, DomainError, UsageError
-from .ffield import FieldCtx, FMatrix, extension_field, field_for_order, find_irreducible, matrix_rank, prime_field
+from .ffield import FieldCtx, extension_field, field_for_order, find_irreducible, matrix_rank, prime_field
 from .mpoly import MPoly, monomials, rational_roots, resultant_y
 from .sampler import RngStream, Strip, SystemSpec, sample_strips, sample_system
 from .svs import SolveOutcome, run_svs, verify_solution
@@ -14,7 +14,6 @@ __all__ = [
     "CapacityError",
     "CertResult",
     "DomainError",
-    "FMatrix",
     "FieldCtx",
     "MPoly",
     "RngStream",

@@ -190,15 +190,21 @@ def cmd_theory(args) -> int:
     return EXIT_OK
 
 
+# the arguments each oracle takes; count-points needs --strip only when s < r
 _ORACLE_ARGS = {
     "p1-exhaustive": ("q", "r", "s", "d"),
     "sk-exhaustive": ("q", "r", "s", "d", "strips"),
-    "count-points": ("system",),
+    "count-points": ("system", "strip"),
 }
 
 
 def cmd_oracle(args) -> int:
-    missing = [f"--{name}" for name in _ORACLE_ARGS[args.oracle] if getattr(args, name) is None]
+    takes = _ORACLE_ARGS[args.oracle]
+    extra = sorted({f"--{name}" for names in _ORACLE_ARGS.values() for name in names
+                    if name not in takes and getattr(args, name) is not None})
+    if extra:
+        raise UsageError(f"oracle {args.oracle} does not take {', '.join(extra)}")
+    missing = [f"--{name}" for name in takes if name != "strip" and getattr(args, name) is None]
     if missing:
         raise UsageError(f"oracle {args.oracle} needs {', '.join(missing)}")
     if args.oracle == "p1-exhaustive":

@@ -11,7 +11,7 @@ into numpy arrays.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import xor
 from typing import NamedTuple
@@ -21,22 +21,35 @@ from .upoly import X_POLY, PackedModulus, upoly_deg, upoly_gcd_unchecked, upoly_
 
 PRIME_LIMIT = 1 << 31  # products of two residues must fit in 64 bits
 IRREDUCIBLE_SCAN_LIMIT = 1 << 40
+FACTOR_LIMIT = 1 << 20  # isqrt(IRREDUCIBLE_SCAN_LIMIT)
 LOG_TABLE_LIMIT = 1 << 16  # extension fields up to this order get log/antilog tables
 
 
+def factor(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, primes ascending, by trial division.
+
+    Divisors stop at FACTOR_LIMIT, so every n <= 2^40 (every order that
+    `field_for_order` can build) factors completely; CapacityError when a
+    larger cofactor has no prime factor up to the limit.
+    """
+    if n < 1:
+        raise UsageError(f"cannot factor {n}")
+    out: dict[int, int] = {}
+    rest, f = n, 2
+    while f * f <= rest:
+        if f > FACTOR_LIMIT:
+            raise CapacityError(f"{n} leaves a cofactor above 2^40 with no prime factor below 2^20")
+        while rest % f == 0:
+            out[f] = out.get(f, 0) + 1
+            rest //= f
+        f += 2 if f > 2 else 1
+    if rest > 1:
+        out[rest] = 1
+    return out
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and factor(n) == {n: 1}
 
 
 def _is_irreducible(f: tuple[int, ...], base: FieldCtx) -> bool:
@@ -64,12 +77,12 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     coefficient vector (c0 + c1*p + ...), so the result is deterministic.
     Returns dense coefficients (c0, ..., c_{k-1}, 1).
     """
-    if not is_prime(p):
-        raise UsageError(f"p={p} is not prime")
     if k < 2:
         raise UsageError("find_irreducible needs degree k >= 2")
     if p ** k > IRREDUCIBLE_SCAN_LIMIT:
         raise CapacityError(f"p^k = {p ** k} exceeds scan cap 2^40")
+    if not is_prime(p):
+        raise UsageError(f"p={p} is not prime")
     base = FieldCtx(p)
     for n in range(p ** k):
         tail = []
@@ -132,10 +145,10 @@ class FieldCtx:
     modulus: tuple[int, ...] | None = None  # dense monic coeffs, len k+1
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise UsageError(f"p={self.p} is not prime")
         if self.p >= PRIME_LIMIT:
             raise CapacityError(f"p={self.p} exceeds 2^31 cap")
+        if not is_prime(self.p):
+            raise UsageError(f"p={self.p} is not prime")
         if self.k < 1:
             raise UsageError("extension degree k must be >= 1")
         if self.k == 1:
@@ -210,10 +223,8 @@ class FieldCtx:
         if self.k == 1 or q > LOG_TABLE_LIMIT:
             return None
         order = q - 1
-        primes = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
-        g = next(
-            g for g in range(2, q) if all(self._pow_raw(g, order // r) != 1 for r in primes)
-        )
+        primes = list(factor(order))
+        g = next(g for g in range(2, q) if all(self._pow_raw(g, order // r) != 1 for r in primes))
         pm = self._packed_modulus  # walk the powers of g packed: one pm.mul a step
         gen, power, exp = pm.pack(self._digits(g)), 1, [1]
         for _ in range(order - 1):
@@ -359,24 +370,10 @@ def extension_field(p: int, k: int, modulus: tuple[int, ...] | None = None) -> F
 
 def prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k for prime p; UsageError unless q is a prime power."""
-    if q < 2:
-        raise UsageError("field order must be >= 2")
-    p = None
-    n = q
-    for f in range(2, q + 1):
-        if f * f > n:
-            p = n if p is None else p
-            break
-        if n % f == 0:
-            p = f
-            break
-    k = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
+    powers = factor(q) if q > 1 else {}
+    if len(powers) != 1:
         raise UsageError(f"q={q} is not a prime power")
+    [(p, k)] = powers.items()
     return p, k
 
 
@@ -389,41 +386,17 @@ def field_for_order(q: int) -> FieldCtx:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FMatrix:
-    """Dense row-major matrix of field elements."""
-
-    rows: int
-    cols: int
-    entries: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise UsageError("entry count does not match dimensions")
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> list[int]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def transpose(self) -> "FMatrix":
-        t = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return FMatrix(self.cols, self.rows, t)
-
-
-def matrix_rank(m: FMatrix, ctx: FieldCtx) -> int:
-    """Rank over the field by Gaussian elimination; m is left untouched."""
+def matrix_rank(m: Sequence[Sequence[int]], ctx: FieldCtx) -> int:
+    """Rank over the field of a list of equal-length rows, by Gaussian
+    elimination; m is left untouched."""
     ops = ctx.ops
-    rows, cols = m.rows, m.cols
-    a = [list(m.row(i)) for i in range(rows)]
+    a = [list(row) for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
+        raise UsageError("matrix rows must have equal length")
     rank = 0
     for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if a[i][col] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(rank, rows) if a[i][col]), None)
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]

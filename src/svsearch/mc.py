@@ -18,10 +18,11 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .errors import CapacityError, UsageError
-from .ffield import FieldCtx, FMatrix, field_for_order, matrix_rank
+from .ffield import FieldCtx, field_for_order, matrix_rank
 from .mpoly import check_slots, monomial_row
-from .sampler import RngStream, Strip, check_shape, check_strips, m_matrix, sample_system
+from .sampler import RngStream, Strip, check_shape, check_strip_budget, check_strips, m_matrix, sample_system
 from .svs import run_svs
+from .zdsolve import check_backend
 from .theory import (
     BoundInterval,
     cert_rate_lower_bound,
@@ -210,20 +211,17 @@ def run_experiment(
     """
     if n_trials < 1:
         raise UsageError("need at least one trial")
-    if hstar is not None and hstar < 1:
-        raise UsageError(f"strip budget hstar must be >= 1, got {hstar}")
     if workers < 1:
         raise UsageError(f"need at least one worker, got {workers}")
     check_shape(r, s, d)
     check_slots(r, d)
     ctx = field_for_order(q)
+    check_backend(backend, s)
     hstar = hstar if hstar is not None else r - s + 1
+    check_strip_budget(hstar, r - s, ctx)
     workers = min(workers, n_trials, os.cpu_count() or 1)  # records do not depend on the count
     t0 = time.monotonic()
-    jobs = [
-        (trial_offset + t, seed, ctx, r, s, d, hstar, backend, want_certificates)
-        for t in range(n_trials)
-    ]
+    jobs = [(trial_offset + t, seed, ctx, r, s, d, hstar, backend, want_certificates) for t in range(n_trials)]
     if workers > 1:
         with Pool(workers) as pool:
             records = pool.map(_run_trial, jobs, chunksize=max(1, n_trials // (4 * workers)))
@@ -378,8 +376,7 @@ def _all_strips_hit(ctx: FieldCtx, s: int, d: int, strips: list[Strip]) -> Fract
     basis: list[tuple[int, ...]] = []  # pivot columns, each over every point
     for column in zip(*rows):
         cand = basis + [column]
-        entries = [v for col in cand for v in col]
-        if matrix_rank(FMatrix(len(cand), len(rows), entries), ctx) == len(cand):
+        if matrix_rank(cand, ctx) == len(cand):
             basis = cand
             refuse_above(len(basis))
     # bit i of a pattern: the polynomial vanishes at point i (strip by strip,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError
-from .ffield import FieldCtx, FMatrix
-from .mpoly import MPoly, check_polys, check_slots, monomial_row, monomials, polys_from_slots, slot_array
+from .ffield import FieldCtx
+from .mpoly import MPoly, check_polys, check_slots, monomial_row, polys_from_slots, slot_array
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -163,6 +163,18 @@ def sample_system(
     return SystemSpec(ctx, r, s, d, polys_from_slots(r, d, coeffs))
 
 
+def check_strip_budget(h: int, m: int, ctx: FieldCtx) -> None:
+    """h >= 1 pairwise-distinct strips of m coordinates must exist and fit the cap."""
+    if h < 1:
+        raise UsageError(f"strip budget hstar must be >= 1, got {h}")
+    if m < 1:
+        raise UsageError("strips need at least one coordinate")
+    if h > MAX_STRIPS:
+        raise CapacityError(f"strip count {h} exceeds 2^20 cap")
+    if h > ctx.q ** m:
+        raise DomainError(f"cannot draw {h} distinct strips from {ctx.q ** m}")
+
+
 def sample_strips(ctx: FieldCtx, m: int, h: int, rng: RngStream) -> list[Strip]:
     """h pairwise-distinct strips, uniform over injective sequences.
 
@@ -170,12 +182,7 @@ def sample_strips(ctx: FieldCtx, m: int, h: int, rng: RngStream) -> list[Strip]:
     first k outputs coincide with a call that asked for only k: budgets
     can be extended without disturbing the prefix.
     """
-    if m < 1:
-        raise UsageError("strips need at least one coordinate")
-    if h > MAX_STRIPS:
-        raise CapacityError(f"strip count {h} exceeds 2^20 cap")
-    if h > ctx.q ** m:
-        raise DomainError(f"cannot draw {h} distinct strips from {ctx.q ** m}")
+    check_strip_budget(h, m, ctx)
     q = ctx.q
     seen: set[Strip] = set()
     out: list[Strip] = []
@@ -192,22 +199,18 @@ def sample_strips(ctx: FieldCtx, m: int, h: int, rng: RngStream) -> list[Strip]:
 # matrix builders for the rank properties of the sampling arguments
 
 
-def m_matrix(strips: list[Strip]) -> FMatrix:
-    """Square matrix with row i = (1, a_i1, ..., a_i,h-1)."""
+def m_matrix(strips: list[Strip]) -> list[list[int]]:
+    """Square matrix, as rows, with row i = (1, a_i1, ..., a_i,h-1)."""
     h = len(strips)
     if h < 1:
         raise UsageError("need at least one strip")
     for a in strips:
         if len(a) < h - 1:
             raise DomainError(f"strip {a} has fewer than {h - 1} coordinates")
-    entries: list[int] = []
-    for a in strips:
-        entries.append(1)
-        entries.extend(a[: h - 1])
-    return FMatrix(h, h, entries)
+    return [[1, *a[: h - 1]] for a in strips]
 
 
-def vandermonde_a(points: list[tuple[int, ...]], d: int, ctx: FieldCtx) -> FMatrix:
+def vandermonde_a(points: list[tuple[int, ...]], d: int, ctx: FieldCtx) -> list[list[int]]:
     """Rows = all monomials of degree <= d evaluated at each point.
 
     The points must be pairwise distinct and there must be at most d + 1
@@ -223,10 +226,7 @@ def vandermonde_a(points: list[tuple[int, ...]], d: int, ctx: FieldCtx) -> FMatr
     r = len(points[0])
     if any(len(pt) != r for pt in points):
         raise UsageError("points must share a dimension")
-    entries: list[int] = []
-    for pt in points:
-        entries.extend(monomial_row(pt, d, ctx))
-    return FMatrix(s, len(monomials(r, d)), entries)
+    return [monomial_row(pt, d, ctx) for pt in points]
 
 
 def condition_matrix(
@@ -235,7 +235,7 @@ def condition_matrix(
     d: int,
     r: int,
     ctx: FieldCtx,
-) -> FMatrix:
+) -> list[list[int]]:
     """Stacked monomial-evaluation rows at (a_i, x) for x in the i-th set.
 
     Encodes the linear conditions "vanish on X_i inside strip a_i" on the
@@ -250,18 +250,11 @@ def condition_matrix(
         raise UsageError(f"set sizes must be descending and >= 1, got {sizes}")
     if sizes[0] > d:
         raise UsageError(f"largest set size {sizes[0]} exceeds degree bound {d}")
-    for ps in point_sets:
-        if len(set(ps)) != len(ps):
-            raise UsageError("points within a set must be distinct")
+    if any(len(set(ps)) != len(ps) for ps in point_sets):
+        raise UsageError("points within a set must be distinct")
     s_dim = len(point_sets[0][0])
     if any(len(x) != s_dim for ps in point_sets for x in ps):
         raise UsageError("points must share a dimension")
-    entries: list[int] = []
-    nrows = 0
-    for a, ps in zip(strips, point_sets):
-        if len(a) + s_dim != r:
-            raise UsageError("strip length plus point dimension must equal r")
-        for x in ps:
-            entries.extend(monomial_row(tuple(a) + tuple(x), d, ctx))
-            nrows += 1
-    return FMatrix(nrows, len(monomials(r, d)), entries)
+    if any(len(a) + s_dim != r for a in strips):
+        raise UsageError("strip length plus point dimension must equal r")
+    return [monomial_row(tuple(a) + tuple(x), d, ctx) for a, ps in zip(strips, point_sets) for x in ps]

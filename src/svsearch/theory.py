@@ -240,19 +240,13 @@ def failure_bound(q: int, r: int, s: int, d: int) -> BoundInterval:
 
 
 def joint_cert_success_bound(q: int, s: int, d: int, h: int) -> BoundInterval:
-    """Enclosure for "first hit at strip h AND that strip is certified"."""
-    if h < 2:
-        raise UsageError("joint_cert_success_bound needs h >= 2")
-    mu_par = mu(_odd_order(d))
-    center = mu_par * (1 - mu_par) ** (h - 1)
+    """Enclosure for "first hit at strip h AND that strip is certified":
+    strip_index_series_bound (which refuses h < 2) widened by the certificate's gate/q."""
+    base = strip_index_series_bound(q, s, d, h)
     gate = _cert_gate(s, d)
-    radius = (
-        (E_UPPER ** (h - 1) + Fraction(1, 2)) / factorial(d + 1)
-        + Fraction(gate + 2, q)
-        + Fraction(5, q ** s) * (2 - mu(d)) ** (h - 1)
-    )
     hyps = {"q>2d^s(d+1)^s": q > gate, "s<d": s < d, "h>1": True}
-    return BoundInterval(center, radius, "certified_success_at_strip", hyps, outward_rounded=True)
+    radius = base.radius + Fraction(gate, q)
+    return BoundInterval(base.center, radius, "certified_success_at_strip", hyps, outward_rounded=True)
 
 
 @dataclass(frozen=True)

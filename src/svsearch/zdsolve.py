@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, UsageError
-from .ffield import LOG_TABLE_LIMIT, FieldCtx
+from .ffield import LOG_TABLE_LIMIT, FieldCtx, factor
 # resultant_y is not called here: perfbench/tracing.py looks it up on this module by name
 from .mpoly import (MPoly, check_polys, lift_with_embedding, monomials, polys_from_slots, rational_roots, resultant_y,
                     resultant_y_general, slot_array, y_poly_at)
@@ -256,8 +256,6 @@ def _resultant_candidates(f: MPoly, g: MPoly, ctx: FieldCtx) -> list[int] | None
 
 def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
     """Common zeros ordered by first coordinate, then by second (s = 2)."""
-    if query.s != 2:
-        raise CapacityError("resultant backend supports s = 2 only")
     ctx = query.ctx
     f, g = query.polys
     cands = _resultant_candidates(f, g, ctx)
@@ -274,9 +272,16 @@ _ENUMERATORS = {"exhaustive": _zeros_exhaustive, "resultant": _zeros_resultant}
 BACKENDS = tuple(_ENUMERATORS)
 
 
-def _zeros(query: ZeroDimQuery, backend: str) -> Iterator[tuple[int, ...]]:
+def check_backend(backend: str, s: int) -> None:
+    """UsageError for an unknown backend; CapacityError for the resultant at s != 2."""
     if backend not in _ENUMERATORS:
         raise UsageError(f"unknown backend {backend!r}")
+    if backend == "resultant" and s != 2:
+        raise CapacityError("resultant backend supports s = 2 only")
+
+
+def _zeros(query: ZeroDimQuery, backend: str) -> Iterator[tuple[int, ...]]:
+    check_backend(backend, query.s)
     return _ENUMERATORS[backend](query)
 
 
@@ -354,18 +359,8 @@ def count_zeros_ext(query: ZeroDimQuery, e: int) -> int:
 
 
 def _mobius(n: int) -> int:
-    out = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            out = -out
-        f += 1
-    if n > 1:
-        out = -out
-    return out
+    powers = factor(n)
+    return 0 if any(k > 1 for k in powers.values()) else (-1) ** len(powers)
 
 
 def distinct_geometric_points(query: ZeroDimQuery) -> int:

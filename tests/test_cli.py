@@ -291,6 +291,23 @@ def test_count_points_above_log_tables_is_capacity_within_a_second(capsys, tmp_p
     assert err.startswith("capacity:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--q", "10000000000000061", "--r", "4", "--s", "2", "--d", "2", "--seed", "0"],
+        ["theory", "--q", "2305843009213693951", "--r", "4", "--s", "2", "--d", "3"],  # 2^61 - 1
+    ],
+    ids=["gen_prime_1e16", "theory_mersenne_61"],
+)
+def test_prime_order_above_2_40_is_capacity_within_a_second(capsys, argv):
+    # factor stops at divisors of 2^20, so a prime q above 2^40 is refused at once
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:") and len(err.splitlines()) == 1
+
+
 def _term(e, c):
     return {"c": c, "e": list(e)}
 
@@ -410,7 +427,7 @@ def command_cases(draw):
         elif fault == "workers":
             workers, expected = draw(st.integers(-2, 0)), {2}
         elif fault == "none" and backend == "resultant" and s != 2:
-            expected = {3}  # each trial aborts: the resultant backend supports s = 2 only
+            expected = {3}  # refused before any trial: the resultant backend supports s = 2 only
         argv += ["--trials", str(draw(st.integers(1, 3))), "--backend", backend,
                  "--hstar", str(hstar), "--workers", str(workers)] + ["--certify"] * draw(st.booleans())
     if sk:
@@ -576,6 +593,24 @@ def test_oracle_sk(capsys):
 def test_oracle_missing_argument_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, "oracle", *argv)
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["p1-exhaustive", "--q", "2", "--r", "3", "--s", "2", "--d", "2",
+          "--strips", "0;0;0", "--system", "nofile", "--strip", "x"], "--strip, --strips, --system"),
+        (["p1-exhaustive", "--q", "2", "--r", "3", "--s", "2", "--d", "2", "--strips", "0;1"], "--strips"),
+        (["sk-exhaustive", "--q", "2", "--r", "3", "--s", "2", "--d", "2", "--strips", "0;1", "--strip", "0"], "--strip"),
+        (["count-points", "--system", "nofile", "--q", "2"], "--q"),
+        (["count-points", "--system", "nofile", "--strip", "0", "--strips", "0;1"], "--strips"),
+    ],
+    ids=["p1_with_every_other", "p1_with_strips", "sk_with_strip", "count_points_with_q", "count_points_with_strips"],
+)
+def test_oracle_extra_argument_usage_error(capsys, argv, extra):
+    code, out, err = run_cli(capsys, "oracle", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: oracle {argv[0]} does not take {extra}\n"
 
 
 def test_oracle_count_points(capsys, tmp_path):

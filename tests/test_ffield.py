@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from svsearch.errors import CapacityError, DomainError, UsageError
 from svsearch.ffield import (
     FieldCtx,
-    FMatrix,
     extension_field,
+    factor,
     field_for_order,
     find_irreducible,
     is_prime,
     matrix_rank,
     prime_field,
+    prime_power,
 )
 from svsearch.mpoly import MPoly, lift_with_embedding, resultant_y
 from svsearch.sampler import RngStream
@@ -242,20 +244,23 @@ def test_modulus_given_as_list_keeps_field_identity():
 
 def test_matrix_rank_examples():
     c2 = prime_field(2)
-    ident = FMatrix(3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1])
+    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert matrix_rank(ident, c2) == 3
-    ones = FMatrix(3, 3, [1] * 9)
+    ones = [[1] * 3 for _ in range(3)]
     assert matrix_rank(ones, c2) == 1
-    tri = FMatrix(2, 2, [1, 0, 1, 1])
+    tri = [[1, 0], [1, 1]]
     assert matrix_rank(tri, c2) == 2
+    assert matrix_rank([], c2) == 0
+    with pytest.raises(UsageError):
+        matrix_rank([[1, 0], [1]], c2)  # rows of unequal length
 
 
 def test_matrix_rank_does_not_mutate():
     c5 = prime_field(5)
-    m = FMatrix(2, 3, [1, 2, 3, 4, 0, 1])
-    before = list(m.entries)
+    m = [[1, 2, 3], [4, 0, 1]]
+    before = [list(row) for row in m]
     matrix_rank(m, c5)
-    assert m.entries == before
+    assert m == before
 
 
 def test_matrix_rank_transpose_and_row_ops():
@@ -264,21 +269,117 @@ def test_matrix_rank_transpose_and_row_ops():
         ctx = field_for_order(q)
         for _ in range(25):
             rows, cols = 2 + rng.next_below(3), 2 + rng.next_below(4)
-            entries = [rng.next_below(q) for _ in range(rows * cols)]
-            m = FMatrix(rows, cols, entries)
+            m = [[rng.next_below(q) for _ in range(cols)] for _ in range(rows)]
             r = matrix_rank(m, ctx)
-            assert r == matrix_rank(m.transpose(), ctx)
+            assert r == matrix_rank(list(zip(*m)), ctx)
             # swap two rows
-            swapped = list(entries)
-            swapped[:cols], swapped[cols : 2 * cols] = entries[cols : 2 * cols], entries[:cols]
-            assert r == matrix_rank(FMatrix(rows, cols, swapped), ctx)
+            assert r == matrix_rank([m[1], m[0]] + m[2:], ctx)
             # scale a row by a nonzero element
             c = 1 + rng.next_below(q - 1)
-            scaled = list(entries)
-            scaled[:cols] = [ctx.mul(c, v) for v in entries[:cols]]
-            assert r == matrix_rank(FMatrix(rows, cols, scaled), ctx)
+            assert r == matrix_rank([[ctx.mul(c, v) for v in m[0]]] + m[1:], ctx)
 
 
 def test_is_prime_edge_cases():
     assert is_prime(2) and is_prime(3) and is_prime(65537)
     assert not is_prime(0) and not is_prime(1) and not is_prime(9)
+
+
+# the trial-division loops that factor replaced, kept as references
+
+
+def _old_is_prime(n):
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def _old_prime_power(q):
+    p = None
+    n = q
+    for f in range(2, q + 1):
+        if f * f > n:
+            p = n if p is None else p
+            break
+        if n % f == 0:
+            p = f
+            break
+    k = 0
+    n = q
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
+
+
+def _old_mobius(n):
+    out = 1
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            out = -out
+        f += 1
+    if n > 1:
+        out = -out
+    return out
+
+
+FACTOR_RANGE = 20000
+
+
+def test_factor_matches_a_sieve_on_every_small_n():
+    spf = list(range(FACTOR_RANGE + 1))  # smallest prime factor, by a plain sieve
+    for f in range(2, FACTOR_RANGE + 1):
+        if spf[f] == f:
+            for m in range(f * f, FACTOR_RANGE + 1, f):
+                spf[m] = min(spf[m], f)
+    assert factor(1) == {}
+    for n in range(2, FACTOR_RANGE + 1):
+        powers = factor(n)
+        assert list(powers) == sorted(powers) and all(spf[p] == p for p in powers), n
+        assert math.prod(p ** k for p, k in powers.items()) == n, n
+        expected, m = {}, n
+        while m > 1:
+            expected[spf[m]] = expected.get(spf[m], 0) + 1
+            m //= spf[m]
+        assert powers == expected, n
+    with pytest.raises(UsageError):
+        factor(0)
+
+
+def test_factor_readers_keep_their_old_answers():
+    from svsearch.zdsolve import _mobius
+
+    for n in range(-2, FACTOR_RANGE + 1):
+        assert is_prime(n) == _old_is_prime(n), n
+    for q in range(2, FACTOR_RANGE + 1):
+        old = _old_prime_power(q)
+        if old is None:
+            with pytest.raises(UsageError):
+                prime_power(q)
+        else:
+            assert prime_power(q) == old, q
+    for n in range(1, FACTOR_RANGE + 1):
+        assert _mobius(n) == _old_mobius(n), n
+
+
+def test_factor_is_complete_to_2_40_and_capped_above():
+    assert factor(2 ** 40 - 87) == {2 ** 40 - 87: 1}  # the largest prime below 2^40
+    assert factor(2 ** 61) == {2: 61}
+    assert factor(3 ** 5 * (2 ** 31 - 1)) == {3: 5, 2 ** 31 - 1: 1}
+    for n in (2 ** 61 - 1, 10 ** 16 + 61, 6 * (2 ** 61 - 1)):  # cofactor a prime above 2^40
+        with pytest.raises(CapacityError):
+            factor(n)
+    with pytest.raises(CapacityError):
+        field_for_order(2 ** 61 - 1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from svsearch import mc
-from svsearch.errors import CapacityError, UsageError
+from svsearch.errors import CapacityError, DomainError, UsageError
 from svsearch.ffield import FieldCtx, field_for_order, matrix_rank, prime_field
 from svsearch.mc import (
     estimate_with_ci,
@@ -105,8 +105,13 @@ def test_worker_count_is_clamped_before_any_pool(monkeypatch):
         (dict(hstar=0), UsageError),
         (dict(workers=0), UsageError),
         (dict(q=6), UsageError),  # not a prime power
+        (dict(q=2, r=3, s=2, d=2, hstar=3), DomainError),  # 3 strips > q^(r-s) = 2
+        (dict(hstar=(1 << 20) + 1), CapacityError),  # strip cap
+        (dict(r=5, s=3, backend="resultant"), CapacityError),  # resultant needs s = 2
+        (dict(backend="groebner"), UsageError),
     ],
-    ids=["s_eq_r", "s_gt_r", "d_lt_2", "slot_cap", "no_trials", "hstar_0", "workers_0", "q_6"],
+    ids=["s_eq_r", "s_gt_r", "d_lt_2", "slot_cap", "no_trials", "hstar_0", "workers_0", "q_6",
+         "hstar_above_strips", "hstar_above_cap", "resultant_s3", "unknown_backend"],
 )
 def test_run_experiment_refuses_before_any_pool(monkeypatch, params, error):
     asked = []
@@ -117,7 +122,7 @@ def test_run_experiment_refuses_before_any_pool(monkeypatch, params, error):
     with pytest.raises(error):
         run_experiment(**args)
     assert asked == [] and time.perf_counter() - start < 1
-    run_experiment(**(args | dict(r=4, s=2, d=2, n_trials=6, q=13, hstar=None, workers=2)))
+    run_experiment(**(args | dict(r=4, s=2, d=2, n_trials=6, q=13, hstar=None, workers=2, backend="exhaustive")))
     assert asked == [2]  # the same call with valid inputs does ask for a pool
 
 

@@ -164,6 +164,31 @@ def test_joint_cert_success_identities():
     assert joint_cert_success_bound(1009, 2, 2, 2).hypotheses["q>2d^s(d+1)^s"]
 
 
+def test_joint_cert_success_matches_its_closed_form():
+    # the bound is built on strip_index_series_bound; the closed form it
+    # must keep, written out term by term, is the reference
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 31, 101, 1009):
+        for s in (2, 3, 4):
+            for d in range(2, 7):
+                for h in (2, 3):
+                    mu_par = mu(d if d % 2 else d + 1)
+                    gate = 2 * d ** s * (d + 1) ** s
+                    radius = (
+                        (E_UPPER ** (h - 1) + F(1, 2)) / math.factorial(d + 1)
+                        + F(gate + 2, q)
+                        + F(5, q ** s) * (2 - mu(d)) ** (h - 1)
+                    )
+                    joint = joint_cert_success_bound(q, s, d, h)
+                    assert joint.center == mu_par * (1 - mu_par) ** (h - 1), (q, s, d, h)
+                    assert joint.radius == radius, (q, s, d, h)
+                    assert joint.hypotheses == {"q>2d^s(d+1)^s": q > gate, "s<d": s < d, "h>1": True}
+                    checked += 1
+    assert checked == 240
+    with pytest.raises(UsageError):
+        joint_cert_success_bound(31, 2, 3, 1)
+
+
 def test_expected_strips_examples():
     b = expected_strips_bound(101, 4, 2, 6)
     manual = 1 / mu(7) + 3 * (1 - mu(7)) ** 3 + 9 * E_UPPER ** 3 / math.factorial(7)
