@@ -96,15 +96,20 @@ def system_from_text(text: str) -> SystemSpec:
     return SystemSpec(*_system_fields(text))
 
 
-def parse_strips(text: str, m: int, ctx) -> list[tuple[int, ...]]:
-    """Parse "c1,c2;c1,c2" into pairwise-distinct strips of m field elements each."""
+def _strip_tuples(text: str) -> list[tuple[int, ...]]:
+    """Parse "c1,c2;c1,c2" into tuples of integers, unchecked."""
     strips = []
     for part in text.split(";"):
         try:
             strips.append(tuple(int(x) for x in part.split(",") if x.strip() != ""))
         except ValueError as exc:
             raise UsageError(f"strip {part!r} is not a list of integers") from exc
-    return check_strips(strips, m, ctx)
+    return strips
+
+
+def parse_strips(text: str, m: int, ctx) -> list[tuple[int, ...]]:
+    """Parse "c1,c2;c1,c2" into pairwise-distinct strips of m field elements each."""
+    return check_strips(_strip_tuples(text), m, ctx)
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -212,9 +217,8 @@ def cmd_oracle(args) -> int:
         sys.stdout.write(json.dumps({"p1": str(value), "p1_float": float(value)}) + "\n")
         return EXIT_OK
     if args.oracle == "sk-exhaustive":
-        ctx = field_for_order(args.q)
-        strips = parse_strips(args.strips, args.r - args.s, ctx)
-        value, invertible = exhaustive_sk(args.q, args.r, args.s, args.d, strips)
+        # exhaustive_sk checks the field, the shape and then the strips
+        value, invertible = exhaustive_sk(args.q, args.r, args.s, args.d, _strip_tuples(args.strips))
         doc = {"sk": str(value), "sk_float": float(value), "m_invertible": invertible}
         if not invertible:
             doc["note"] = "M singular: comparison hypotheses do not apply"

@@ -216,9 +216,9 @@ def run_experiment(
     check_shape(r, s, d)
     check_slots(r, d)
     ctx = field_for_order(q)
-    check_backend(backend, s)
     hstar = hstar if hstar is not None else r - s + 1
     check_strip_budget(hstar, r - s, ctx)
+    check_backend(backend, s)
     workers = min(workers, n_trials, os.cpu_count() or 1)  # records do not depend on the count
     t0 = time.monotonic()
     jobs = [(trial_offset + t, seed, ctx, r, s, d, hstar, backend, want_certificates) for t in range(n_trials)]

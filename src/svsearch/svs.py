@@ -98,18 +98,16 @@ def run_svs(
         raise UsageError("provide exactly one strip source: explicit strips or a stream")
     if certify and system.s != 2:
         raise UsageError("certificates are only defined for s = 2")
-    if hstar is not None and hstar < 1:
-        raise UsageError(f"strip budget hstar must be >= 1, got {hstar}")
 
     if strips is not None:
         strips = check_strips(strips, m, ctx)
         budget = hstar if hstar is not None else len(strips)
-        if budget > len(strips):
-            raise UsageError("budget exceeds the number of explicit strips")
+        if not 1 <= budget <= len(strips):
+            raise UsageError(f"strip budget {budget} must lie in [1, {len(strips)}], the explicit strips")
         plan = strips[:budget]
     else:
         budget = hstar if hstar is not None else system.hstar
-        plan = sample_strips(ctx, m, budget, rng)
+        plan = sample_strips(ctx, m, budget, rng)  # checks the budget
 
     visited: list[Strip] = []
     certs: list[CertResult] = []

@@ -61,16 +61,13 @@ class CertResult:
 
 
 def _exact_float(p: int, terms: int) -> type[np.floating]:
-    """The narrowest float type whose sums of `terms` products of residues mod p are exact.
-
-    Each product is at most (p-1)^2, and a float with an m-bit significand
-    (m = 24 for float32, 53 for float64) holds every integer below 2^m, so
-    every partial sum of such products is exact while terms * (p-1)^2 < 2^m.
-    """
+    """The narrowest float type whose top binade [2^(m-1), 2^m) holds every
+    biased sum of `terms` products of balanced residues mod p (see
+    `_GridEval`): 2 * terms * (p // 2)^2 + p < 2^(m-1), m = 24 or 53."""
     for dtype in (np.float32, np.float64):
-        if terms * (p - 1) ** 2 < 2 ** (np.finfo(dtype).nmant + 1):
+        if 2 * terms * (p // 2) ** 2 + p < 2 ** np.finfo(dtype).nmant:
             return dtype
-    raise CapacityError(f"{terms} products of residues mod {p} exceed float64's exact 2^53")
+    raise CapacityError(f"{terms} products of residues mod {p} exceed float64's exact 2^52 binade")
 
 
 class _GridEval:
@@ -80,33 +77,53 @@ class _GridEval:
     row-major index in [0, q^(s-1)), and the cell's flat index is
     prefix*q + x.  Grouping terms by their head, the exponents of the
     prefix, f = sum over heads h of prefix^h * line_h(x).  `head` holds
-    prefix^h at every prefix (q^(s-1) x H).  Every line_h at every x
-    (H x q) comes from `slot_lines`, for all polynomials at once.  A slab
-    is `rows` whole lines, about 2^16 cells over GF(p) and 2^14 in the
-    log domain.
+    prefix^h at every prefix (q^(s-1) x H), with the constant head 1
+    first.  Every line_h at every x (H x q) comes from `slot_lines`, for
+    all polynomials at once.  A slab is `rows` whole lines, about 2^17
+    cells over GF(p) and 2^14 in the log domain.
 
-    Over GF(p) both are residues in the float type `_exact_float` picks,
-    with m significand bits, so a slab, one matmul into a buffer the
-    evaluator owns, holds exact integers v below 2^m.  With
-    t = rint(fl(v * fl(1/p))), v = 0 mod p exactly when t*p == v.  For
-    v = kp, |fl(v * fl(1/p)) - k| < 1/2, so t = k: for p = 2 the product
-    is exact, and for p >= 3, k < 2^m/p gives |v * fl(1/p) - k| <= k*2^-m
-    < 1/3, and rounding a product below 2^(m-1) adds at most 1/4.  For
-    other v, t*p is an exact multiple of p below 2^m or rounds to at
-    least 2^m > v.  Over GF(p^k) both are logs, with `zero_log` standing
-    for log 0, and a value adds up the groups exp[head + line].
+    Over GF(p) both are balanced residues, at most b = p // 2 in size, in
+    the float type `_exact_float` picks, with m significand bits; T is
+    2^(m-1).  The line of head 1 also carries a bias beta, for every
+    polynomial, so a slab (one matmul into a buffer the evaluator owns)
+    or an `at` value is v + beta, where v is congruent to f mod p and
+    |v| <= H*b^2.
+    Exact: each product is an integer, and any partial sum of the H
+    products is either at most H*b^2 in size or, once it holds the
+    biased one, beta plus at most H*b^2 in size; beta lies in
+    [T + H*b^2, T + H*b^2 + p), so both stay below 2^m by
+    `_exact_float`'s bound 2*H*b^2 + p < T.  In the binade: for the same
+    reason the final value lies in [T, 2^m), where the integers are
+    exactly the floats, so its bit pattern, read as a w-bit unsigned
+    integer, is bits(T) + value - T.  beta is congruent to T - bits(T)
+    mod p, so the pattern is congruent to v.  The test: for odd p,
+    multiplying by p^-1 mod 2^w is a bijection of the w-bit integers that
+    maps the multiples kp, k <= L = (2^w - 1) // p, onto [0, L], so a
+    pattern is 0 mod p exactly when its product is at most L.  For p = 2,
+    the product by 2^(w-1) is 0 exactly for even patterns.  Over GF(p^k) heads and
+    lines are logs, with `zero_log` standing for log 0, and a value adds
+    up the groups exp[head + line].
     """
 
     def __init__(self, ctx: FieldCtx, s: int, maxdeg: int) -> None:
         q = self.q = ctx.q
         self.p, self.prime = ctx.p, ctx.k == 1
-        heads = monomials(s - 1, maxdeg)
+        heads = sorted(monomials(s - 1, maxdeg), key=any)  # the constant head first
         self.heads = {h: i for i, h in enumerate(heads)}
-        self.rows = max(1, min(q ** (s - 1), (1 << (16 if self.prime else 14)) // q))
+        self.rows = max(1, min(q ** (s - 1), (1 << (17 if self.prime else 14)) // q))
         if self.prime:
             dtype = self.dtype = _exact_float(ctx.p, len(heads))
-            self.p_float, self.inv_p = dtype(ctx.p), dtype(1) / dtype(ctx.p)
-            self._vals, self._scaled = np.empty((2, self.rows * q), dtype=dtype)
+            bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+            width, top = 8 * bits.itemsize, 1 << np.finfo(dtype).nmant
+            low = top + len(heads) * (ctx.p // 2) ** 2
+            self.beta = low + (top - int(np.array(top, dtype=dtype).view(bits)) - low) % ctx.p
+            # (x + half) mod p - half is x balanced; (p - 1) // 2 keeps 1 at 1 for p = 2
+            self.half = (ctx.p - 1) // 2
+            self._shift = np.full((len(heads), 1), -self.half, dtype=np.int64)
+            self._shift[0] += self.beta  # the bias rides on head 1's line
+            self.p_inv = bits.type(pow(ctx.p, -1, 1 << width) if ctx.p % 2 else 1 << (width - 1))
+            self.p_most = bits.type(((1 << width) - 1) // ctx.p if ctx.p % 2 else 0)
+            self._vals = np.empty(self.rows * q, dtype=dtype)
             self._mask = np.empty(self.rows * q, dtype=bool)
             xs = np.arange(q, dtype=np.int64)
             self.tab = np.ones((maxdeg + 1, q), dtype=np.int64)  # x^e
@@ -138,7 +155,7 @@ class _GridEval:
             factor = self.tab[exps[:, axis]][:, None, :]
             head = head[:, :, None] * factor % ctx.p if self.prime else head[:, :, None] + factor
             head = head.reshape(len(heads), -1)
-        self.head = head.T.astype(self.dtype) if self.prime else head.T
+        self.head = ((head.T + self.half) % ctx.p - self.half).astype(self.dtype) if self.prime else head.T
 
     def _add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a + b over GF(p^k); may overwrite a."""
@@ -153,18 +170,23 @@ class _GridEval:
     def slot_lines(self, slots: np.ndarray) -> np.ndarray:
         """line_h(x) of every polynomial in slots (one row each by slot of
         `monomials(s, maxdeg)`) for every head h and every x, as an
-        n x H x q array: residues over GF(p), logs over GF(p^k)."""
+        n x H x q array: balanced residues, beta added to head 1's line,
+        over GF(p), logs over GF(p^k)."""
         cmat = np.zeros((len(slots), len(self.heads), len(self.tab)), dtype=np.int64)
         cmat[(slice(None), *self._slot_cells)] = slots
         if self.prime:
-            return (cmat @ self.tab % self.p).astype(self.dtype)
+            lines = cmat @ self.tab + self.half
+            lines %= self.p
+            lines += self._shift
+            return lines.astype(self.dtype)
         # the sum over the last exponent e of c * x^e, with the e axis first
         logs = self.log[cmat].transpose(2, 0, 1)[..., None]
-        return self.log[self._log_sum(logs, self.tab[:, None, None, :])]
+        tab = self.tab[:, None, None, :]
+        return self.log[self._log_sum(self.exp[logs[0] + tab[0]], logs[1:], tab[1:])]
 
-    def _log_sum(self, heads: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        vals = self.exp[heads[0] + lines[0]]
-        for h, line in zip(heads[1:], lines[1:]):
+    def _log_sum(self, vals: np.ndarray, heads: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        """vals plus the groups exp[head + line]; may overwrite vals."""
+        for h, line in zip(heads, lines):
             vals = self._add(vals, self.exp[h + line])
         return vals
 
@@ -173,7 +195,9 @@ class _GridEval:
         if self.prime:
             out = self._vals[: (hi - lo) * self.q].reshape(hi - lo, self.q)
             return np.matmul(self.head[lo:hi], lines, out=out)
-        return self._log_sum(self.head[lo:hi].T[:, :, None], lines[:, None, :])
+        # head 1 has log 0, so its group is the line itself
+        first = np.tile(self.exp[lines[0]], (hi - lo, 1))
+        return self._log_sum(first, self.head[lo:hi, 1:].T[:, :, None], lines[1:, None, :])
 
     def at(self, lines: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Values at the given flat cell indices."""
@@ -181,17 +205,16 @@ class _GridEval:
         heads, lines = self.head[prefix].T, lines[:, x]
         if self.prime:
             return (heads * lines).sum(axis=0)
-        return self._log_sum(heads, lines)
+        return self._log_sum(self.exp[lines[0]], heads[1:], lines[1:])
 
     def zero(self, vals: np.ndarray) -> np.ndarray:
-        """Mask of the values (at most a slab) that are 0 in the field, valid until the next call."""
+        """Mask of the values (at most a slab) that are 0 in the field,
+        valid until the next call; over GF(p) it overwrites vals."""
         if not self.prime:
             return vals == 0
-        n = vals.size
-        t = np.multiply(vals, self.inv_p, out=self._scaled[:n].reshape(vals.shape))
-        np.rint(t, out=t)
-        t *= self.p_float
-        return np.equal(t, vals, out=self._mask[:n].reshape(vals.shape))
+        bits = vals.view(self.p_inv.dtype)
+        bits *= self.p_inv
+        return np.less_equal(bits, self.p_most, out=self._mask[: vals.size].reshape(vals.shape))
 
 
 # every trial of an experiment scans grids of one field, s and degree

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svsearch.cli import main, parse_strips, system_from_text, system_to_text
@@ -454,6 +454,9 @@ def command_cases(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(command_cases())
+# a usage fault (hstar 0) comes before the capacity refusal of the resultant backend at s = 3
+@example(case=(["experiment", "--q", "2", "--r", "4", "--s", "3", "--d", "2", "--seed", "0", "--trials", "1",
+                "--backend", "resultant", "--hstar", "0", "--workers", "1"], {2}))
 def test_cli_exit_codes_on_every_command(tmp_path_factory, case):
     argv, expected = case
     if argv[0] == "experiment":
@@ -593,6 +596,13 @@ def test_oracle_sk(capsys):
 def test_oracle_missing_argument_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, "oracle", *argv)
     assert code == 2 and err.startswith("error:")
+
+
+def test_oracle_sk_checks_shape_before_strips(capsys):
+    # s >= r leaves no strip coordinates: the shape rule speaks first
+    code, out, err = run_cli(capsys, "oracle", "sk-exhaustive", "--q", "2", "--r", "3", "--s", "4", "--d", "2",
+                             "--strips", "0")
+    assert (code, out, err) == (2, "", "error: need 1 < s < r, got s=4, r=3\n")
 
 
 @pytest.mark.parametrize(

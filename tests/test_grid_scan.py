@@ -8,6 +8,7 @@ log-domain paths."""
 import functools
 import hashlib
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -21,7 +22,7 @@ from svsearch import zdsolve
 from svsearch.errors import CapacityError
 from svsearch.ffield import field_for_order
 from svsearch.mc import records_to_csv, run_experiment
-from svsearch.mpoly import MPoly, monomials
+from svsearch.mpoly import MPoly, monomials, slot_array
 from svsearch.sampler import RngStream
 from svsearch.zdsolve import (
     ZeroDimQuery,
@@ -36,13 +37,30 @@ FIELDS = {q: field_for_order(q) for q in (2, 3, 5, 7, 31, 4, 8, 9, 25)}
 
 
 def brute_zeros(query):
-    """Every common zero, by evaluating each polynomial at each point in row-major order."""
-    ctx = query.ctx
-    return [
-        pt
-        for pt in itertools.product(ctx.elements(), repeat=query.s)
-        if all(f.evaluate(pt, ctx) == 0 for f in query.polys)
-    ]
+    """Every common zero, by evaluating each polynomial at each point in
+    row-major order: over GF(p), one line of the last coordinate at a time
+    in int64, from the terms (every product is reduced below p^2)."""
+    ctx, s = query.ctx, query.s
+    if ctx.k > 1:
+        return [
+            pt
+            for pt in itertools.product(ctx.elements(), repeat=s)
+            if all(f.evaluate(pt, ctx) == 0 for f in query.polys)
+        ]
+    p = ctx.p
+    powers = [np.ones(p, dtype=np.int64)]  # x^e at every x
+    for _ in range(query.dmax):
+        powers.append(powers[-1] * np.arange(p) % p)
+    zeros = []
+    for prefix in itertools.product(range(p), repeat=s - 1):
+        alive = np.ones(p, dtype=bool)
+        for f in query.polys:
+            coeffs = [0] * (query.dmax + 1)  # of x^e on this line
+            for exps, c in f.terms:
+                coeffs[exps[-1]] += c * math.prod(pow(a, e, p) for a, e in zip(prefix, exps))
+            alive &= sum(c % p * power % p for c, power in zip(coeffs, powers)) % p == 0
+        zeros += [prefix + (x,) for x in np.flatnonzero(alive).tolist()]
+    return zeros
 
 
 def times_linear(f, axis, a, ctx):
@@ -73,8 +91,8 @@ def any_poly(draw, ctx, s, d):
 
 
 @st.composite
-def queries(draw, s_values):
-    ctx = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+def queries(draw, s_values, fields=FIELDS):
+    ctx = fields[draw(st.sampled_from(sorted(fields)))]
     s = draw(st.sampled_from(s_values))
     d = draw(st.integers(1, 3))
     return ZeroDimQuery(ctx, s, tuple(draw(any_poly(ctx, s, d)) for _ in range(s)), d)
@@ -96,7 +114,7 @@ def test_backends_agree_on_random_s2_queries(query):
 @pytest.mark.parametrize("q,s", [(1009, 2), (67, 3), (256, 2)])
 def test_zeros_straddle_a_slab_boundary(q, s):
     # a slab holds the evaluator's `rows` whole lines of the last coordinate
-    # (2^16 cells over GF(p), 2^14 in the log domain), so at these q its
+    # (2^17 cells over GF(p), 2^14 in the log domain), so at these q its
     # first boundary falls inside the grid, at a prefix (first s-1
     # coordinates) that is not a multiple of q
     ctx = field_for_order(q)
@@ -122,38 +140,48 @@ def test_zeros_straddle_a_slab_boundary(q, s):
     assert count_zeros(query) == len(zeros) and find_zero(query) == zeros[0]
 
 
+def most_terms(p, m):
+    """The most products of balanced residues mod p whose biased sums fit
+    the binade [2^(m-1), 2^m): 2 * H * (p // 2)^2 + p < 2^(m-1)."""
+    return (2 ** (m - 1) - 1 - p) // (2 * (p // 2) ** 2)
+
+
 def test_float_sums_refused_past_two_to_the_53():
     for p in (2, 3, 4093):
-        square = (p - 1) ** 2
-        most = (2**53 - 1) // square  # the most products whose sum stays below 2^53
+        most = most_terms(p, 53)
         assert _exact_float(p, most) is np.float64
         with pytest.raises(CapacityError):
             _exact_float(p, most + 1)
-        if 2**53 % square == 0:  # H * (p-1)^2 lands on 2^53 exactly
+        if (2**52 - p) % (2 * (p // 2) ** 2) == 0:  # 2 * H * b^2 + p lands on 2^52 exactly
             with pytest.raises(CapacityError):
-                _exact_float(p, 2**53 // square)
+                _exact_float(p, (2**52 - p) // (2 * (p // 2) ** 2))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 17, 257, 1009, 4093])
 def test_float32_while_sums_stay_below_two_to_the_24(p):
-    square = (p - 1) ** 2
-    most = (2**24 - 1) // square
+    # the biased sums stay in [2^23, 2^24)
+    most = most_terms(p, 24)
     assert _exact_float(p, most) is np.float32
     assert _exact_float(p, most + 1) is np.float64
-    if 2**24 % square == 0:  # H * (p-1)^2 lands on 2^24 exactly
-        assert _exact_float(p, 2**24 // square) is np.float64
+    if (2**23 - p) % (2 * (p // 2) ** 2) == 0:  # 2 * H * b^2 + p lands on 2^23 exactly
+        assert _exact_float(p, (2**23 - p) // (2 * (p // 2) ** 2)) is np.float64
+
+
+def forced(dtype):
+    """Every GF(p) evaluator built inside runs on `dtype`, whatever its bound would pick."""
+    return mock.patch.object(zdsolve, "_exact_float", return_value=dtype)
 
 
 @functools.cache
 def forced_float_eval(p, dtype):
-    """A GF(p) evaluator whose buffers and zero test run on `dtype`, whatever
-    its exact-sum bound would pick: the test only needs v below 2^m."""
-    with mock.patch.object(zdsolve, "_exact_float", return_value=dtype):
+    """A GF(p) evaluator whose buffers and zero test run on `dtype`: the
+    test only needs a value in the binade [2^(m-1), 2^m)."""
+    with forced(dtype):
         return _GridEval(field_for_order(p), 2, 1)
 
 
-# at 4093 most products v * fl(1/p) of float32 multiples land above k, and
-# at 65521 many land below it, so neither floor nor ceil would pass for rint
+# the zero test reads v = value - beta mod p off the float's bits, so it
+# holds for every integer value of the binade, whether or not beta is in it
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("p", [2, 3, 31, 1009, 4093, 65521])
 @settings(max_examples=60, deadline=None)
@@ -161,11 +189,52 @@ def forced_float_eval(p, dtype):
 def test_zero_test_matches_integer_remainder(p, dtype, data):
     grid = forced_float_eval(p, dtype)
     assert grid.dtype is dtype
-    top = 2 ** (np.finfo(dtype).nmant + 1) - 1  # the largest integer of the exact range
-    for k in (top // p, data.draw(st.integers(0, top // p))):  # the last multiple, and any
-        vals = [v for v in (k * p - 1, k * p, k * p + 1) if 0 <= v <= top]
+    low = 2 ** np.finfo(dtype).nmant
+    top = 2 * low - 1  # the binade's integers are [low, top]
+    first = low + (grid.beta - low) % p  # the first and the last value = beta mod p
+    last = top - (top - grid.beta) % p
+    for v0 in (last, first, first + p * data.draw(st.integers(0, (last - first) // p))):
+        vals = [v for v in (v0 - 1, v0, v0 + 1) if low <= v <= top]
         mask = grid.zero(np.array(vals, dtype=dtype))
-        assert mask.tolist() == [v % p == 0 for v in vals], (k, vals)
+        assert mask.tolist() == [(v - grid.beta) % p == 0 for v in vals], (v0, vals)
+
+
+@pytest.mark.parametrize("q,d", [(1009, 2), (1451, 3), (4093, 3)])  # float32, float32, float64
+def test_slab_values_stay_in_the_binade(q, d):
+    # -(X + ... + X^d), constant along the last coordinate: at some prefix a
+    # every head a^h is near -p/2, so lines left at p - 1 instead of -1
+    # would push the sum below the binade
+    ctx = field_for_order(q)
+    f = MPoly.from_terms(2, [((h, 0), q - 1) for h in range(1, d + 1)], ctx)
+    grid = _GridEval(ctx, 2, d)
+    (lines,) = grid.slot_lines(slot_array((f,), d))
+    low = 2 ** np.finfo(grid.dtype).nmant
+    expected = np.array([f.evaluate((a, 0), ctx) for a in range(q)])
+    for lo in range(0, q, grid.rows):
+        vals = grid.slab(lines, lo, min(lo + grid.rows, q))
+        assert ((low <= vals) & (vals < 2 * low)).all()
+        assert ((vals.astype(np.int64) - grid.beta) % q == expected[lo:lo + len(vals), None]).all()
+    assert count_zeros(ZeroDimQuery(ctx, 2, (f, MPoly.zero(2)), d)) == q * np.count_nonzero(expected == 0)
+
+
+# GF(1451) takes float32 only with balanced residues; two zero polynomials
+# there would list all 2.1M cells, so the first is nonzero
+GF1451 = queries((2,), {1451: field_for_order(1451)}).filter(lambda query: not query.polys[0].is_zero())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(queries((2, 3), {p: FIELDS[p] for p in (2, 3)}), GF1451))
+def test_forced_float_grid_matches_brute_force(dtype, query):
+    expected = brute_zeros(query)
+    zdsolve._grid_eval.cache_clear()
+    try:
+        with forced(dtype):
+            assert list(_zeros(query, "exhaustive")) == expected
+            assert count_zeros(query) == len(expected)
+            assert zdsolve._grid_eval(query.ctx, query.s, query.dmax).dtype is dtype
+    finally:
+        zdsolve._grid_eval.cache_clear()
 
 
 def test_streams_sharing_an_evaluator_do_not_leak():
@@ -213,8 +282,11 @@ def test_streams_sharing_an_evaluator_do_not_leak():
         # recorded before the trial path moved to one slot array per system
         (np.float32, (31, 5, 2, 3, 50, 2206), "7a812fc3225bc726aaefe56581e48e7a03b13e3b2893418ff4e5dc94cf46bc0c"),
         (np.float32, (67, 4, 3, 2, 10, 2206), "31d62a62cf3f06361375779fb3ad489ed0703b8864a4a193f4d6a10659ea20c5"),
+        # float32 only with balanced residues: biased sums of products up to (p - 1)^2 would need float64
+        (np.float32, (1451, 4, 2, 3, 20, 2206), "178f4f698ac621793991de2e17b7b1b56cc65c24bb0a96b2dc14916a3ba47cbd"),
+        (np.float32, (2039, 4, 2, 3, 20, 2206), "6dccc20130a4b48498612044a84f4e9efe007ef8eb31828b1b6f423728f436ca"),
     ],
-    ids=["float32", "float64", "log", "small", "s3"],
+    ids=["float32", "float64", "log", "small", "s3", "q1451", "q2039"],
 )
 def test_trials_csv_bytes_are_pinned(path, config, sha256):
     q, r, s, d, trials, seed = config

@@ -130,6 +130,18 @@ def test_hstar_override_and_budget():
     assert out1.strips == out.strips[:1]  # prefix consistency across budgets
 
 
+def test_strip_budget_checked_on_both_paths():
+    c5 = prime_field(5)
+    system = sample_system(c5, 4, 2, 2, RngStream(7, 0))
+    strips = [(0, 1), (2, 3)]
+    assert run_svs(system, strips=strips, hstar=2).hstar == 2
+    for hstar in (0, -1, 3):  # outside [1, 2] explicit strips
+        with pytest.raises(UsageError, match="must lie in"):
+            run_svs(system, strips=strips, hstar=hstar)
+    with pytest.raises(UsageError, match="must be >= 1"):  # sampler.check_strip_budget
+        run_svs(system, rng=RngStream(7, 1), hstar=0)
+
+
 def test_certificates_on_request():
     c7 = prime_field(7)
     system = sample_system(c7, 3, 2, 2, RngStream(6, 3))

@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import svsearch
@@ -123,12 +124,15 @@ def test_slot_lines_match_evaluate(q):
         grid = _GridEval(ctx, s, d)
         lines = grid.slot_lines(slots)
         assert lines.shape == (s, len(grid.heads), q)
+        low = 2 ** np.finfo(grid.dtype).nmant
         for _ in range(40):
             point = tuple(rng.next_below(q) for _ in range(s))
             prefix = sum(x * q ** i for i, x in enumerate(reversed(point[:-1])))
             for f, f_lines in zip(polys, lines):
-                # the one-row slab that holds the point, a residue mod p
-                assert int(grid.slab(f_lines, prefix, prefix + 1)[0, point[-1]]) % q == f.evaluate(point, ctx)
+                # the one-row slab that holds the point: beta plus a value = f mod p, in the binade
+                value = int(grid.slab(f_lines, prefix, prefix + 1)[0, point[-1]])
+                assert (value - grid.beta) % q == f.evaluate(point, ctx)
+                assert low <= value < 2 * low
         # the same rows from one shared block as from each polynomial's own
         assert (slot_array(polys_from_slots(s, d, slots), d) == slots).all()
         assert (slot_array(polys, d + 1)[:, -slots.shape[1]:] == slots).all()
