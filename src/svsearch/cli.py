@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, field_for_order
@@ -21,7 +20,7 @@ from .mpoly import MPoly
 from .mc import exhaustive_p1, exhaustive_sk, records_to_csv, run_experiment
 from .sampler import RngStream, SystemSpec, check_strips, sample_system
 from .svs import run_svs
-from .theory import fraction_text, theory_report
+from .theory import theory_report
 from .zdsolve import BACKENDS, ZeroDimQuery, distinct_geometric_points
 
 EXIT_OK = 0
@@ -125,12 +124,6 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        return fraction_text(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -181,7 +174,7 @@ def cmd_experiment(args) -> int:
     _atomic_write(os.path.join(args.out, "trials.csv"), records_to_csv(records))
     _atomic_write(
         os.path.join(args.out, "summary.json"),
-        json.dumps(summary, indent=2, default=_jsonify) + "\n",
+        json.dumps(summary, indent=2) + "\n",
     )
     if summary["aborted"]:
         print(f"capacity: {summary['aborted']} of {args.trials} trials aborted", file=sys.stderr)
@@ -191,7 +184,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_theory(args) -> int:
     report = theory_report(args.q, args.r, args.s, args.d, hmax=args.h, omega=args.omega)
-    sys.stdout.write(json.dumps(report, indent=1, default=_jsonify) + "\n")
+    sys.stdout.write(json.dumps(report, indent=1) + "\n")
     return EXIT_OK
 
 

@@ -53,17 +53,10 @@ def is_prime(n: int) -> bool:
 
 
 def _is_irreducible(f: tuple[int, ...], base: FieldCtx) -> bool:
-    """Complete test over the prime field `base`: no irreducible factor of
-    degree <= deg(f)/2, i.e. gcd(f, X^(p^i) - X) = 1 for i <= deg(f)/2."""
-    k = upoly_deg(f)
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    if f[0] == 0:  # divisible by X
-        return False
+    """Complete test over the prime field `base` for deg(f) >= 2: no irreducible
+    factor of degree <= deg(f)/2, i.e. gcd(f, X^(p^i) - X) = 1 for i <= deg(f)/2."""
     frob = X_POLY
-    for _ in range(k // 2):
+    for _ in range(upoly_deg(f) // 2):
         frob = upoly_pow_mod(frob, base.p, f, base)  # X^(p^i) mod f
         if upoly_deg(upoly_gcd_unchecked(f, upoly_sub(frob, X_POLY, base), base)) != 0:
             return False

@@ -227,7 +227,6 @@ def run_experiment(
             records = pool.map(_run_trial, jobs, chunksize=max(1, n_trials // (4 * workers)))
     else:
         records = [_run_trial(job) for job in jobs]
-    records.sort(key=lambda rec: rec.trial_id)
     elapsed = time.monotonic() - t0
     summary = summarize(records, q, r, s, d, seed, backend, want_certificates, hstar, elapsed)
     return records, summary

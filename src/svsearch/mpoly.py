@@ -458,14 +458,9 @@ def y_poly_at(fc: tuple[UPoly, ...], x: int, ctx: FieldCtx) -> UPoly:
     return upoly_trim([upoly_eval(cj, x, ctx) for cj in fc])
 
 
-@lru_cache(maxsize=1)
 def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
     """Resultant of two bivariate polynomials with respect to the second
     variable, as a univariate polynomial in the first.
-
-    The last result is cached: on a certified strip search, the
-    certificate and the resultant backend ask for the same resultant one
-    after the other.
 
     Computed by evaluation-interpolation: specialize the first variable at
     sample points where neither leading Y-coefficient vanishes, take the
@@ -519,30 +514,3 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
         except KeyError:
             raise AssertionError("resultant coefficients left the base field") from None
     return res
-
-
-def resultant_y_general(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly | None:
-    """resultant_y extended by the standard conventions for degenerate
-    Y-degrees: Res(0, g) = 0 and Res(c, g) = c^deg_Y(g).  Returns None
-    when both inputs are constant in Y (no meaningful eliminant).
-
-    The one place that decides degenerate pairs: the resultant backend's
-    candidates and the certificate both read it.
-    """
-    if f.is_zero() or g.is_zero():
-        return ()
-    fc = f.coeffs_in_last_var
-    gc = g.coeffs_in_last_var
-    n, m = len(fc) - 1, len(gc) - 1
-    if n >= 1 and m >= 1:
-        return resultant_y(f, g, ctx)
-    if n == 0 and m == 0:
-        return None
-    if n == 0:
-        base, power = fc[0], m
-    else:
-        base, power = gc[0], n
-    out: UPoly = (1,)
-    for _ in range(power):
-        out = upoly_mul(out, base, ctx)
-    return out

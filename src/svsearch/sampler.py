@@ -43,10 +43,8 @@ class RngStream:
         self.state = _mix64(self.seed ^ _mix64((self.stream_id + 1) * _GAMMA))
 
     def next_u64(self) -> int:
-        self.state = s = (self.state + _GAMMA) & _M64
-        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31)
+        self.state = (self.state + _GAMMA) & _M64
+        return _mix64(self.state)
 
     def next_below(self, n: int) -> int:
         """Unbiased draw from [0, n) by rejection."""

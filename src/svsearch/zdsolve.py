@@ -13,16 +13,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx, factor
-# resultant_y is not called here: perfbench/tracing.py looks it up on this module by name
 from .mpoly import (MPoly, check_polys, lift_with_embedding, monomials, polys_from_slots, rational_roots, resultant_y,
-                    resultant_y_general, slot_array, y_poly_at)
-from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked
+                    slot_array, y_poly_at)
+from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked, upoly_mul
 
 GRID_LIMIT = 1 << 24
 
@@ -40,6 +39,12 @@ class ZeroDimQuery:
         if self.s < 1:
             raise UsageError("need at least one variable")
         check_polys(self.polys, self.s, self.s, self.dmax)
+
+    @cached_property
+    def _resultant(self) -> UPoly | None:
+        """`resultant_y_general` of the pair (s = 2), computed once for the
+        certificate and the resultant backend, which both read it."""
+        return resultant_y_general(*self.polys, self.ctx)
 
 
 @dataclass(frozen=True)
@@ -258,8 +263,34 @@ def _common_y_roots(fx: UPoly, gx: UPoly, ctx: FieldCtx) -> list[int]:
     return sorted(rational_roots(h, ctx)) if upoly_deg(h) >= 1 else []
 
 
-def _resultant_candidates(f: MPoly, g: MPoly, ctx: FieldCtx) -> list[int] | None:
-    """Candidate first coordinates for common zeros, or None for "all".
+def resultant_y_general(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly | None:
+    """resultant_y extended by the standard conventions for degenerate
+    Y-degrees: Res(0, g) = 0 and Res(c, g) = c^deg_Y(g).  Returns None
+    when both inputs are constant in Y (no meaningful eliminant).
+
+    The one place that decides degenerate pairs.
+    """
+    if f.is_zero() or g.is_zero():
+        return ()
+    fc = f.coeffs_in_last_var
+    gc = g.coeffs_in_last_var
+    n, m = len(fc) - 1, len(gc) - 1
+    if n >= 1 and m >= 1:
+        return resultant_y(f, g, ctx)
+    if n == 0 and m == 0:
+        return None
+    if n == 0:
+        base, power = fc[0], m
+    else:
+        base, power = gc[0], n
+    out: UPoly = (1,)
+    for _ in range(power):
+        out = upoly_mul(out, base, ctx)
+    return out
+
+
+def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
+    """Common zeros ordered by first coordinate, then by second (s = 2).
 
     A rational common zero (x, y) must have x among the rational roots of
     the resultant, `resultant_y_general`.  That holds also where both
@@ -269,21 +300,15 @@ def _resultant_candidates(f: MPoly, g: MPoly, ctx: FieldCtx) -> list[int] | None
     factor) every x qualifies.  When both polynomials are constant in Y,
     x is confined to the roots of f's X-part.
     """
-    res = resultant_y_general(f, g, ctx)
-    if res is None:
-        res = f.coeffs_in_last_var[0]
-    if not res:
-        return None
-    return sorted(rational_roots(res, ctx)) if upoly_deg(res) >= 1 else []
-
-
-def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
-    """Common zeros ordered by first coordinate, then by second (s = 2)."""
     ctx = query.ctx
     f, g = query.polys
-    cands = _resultant_candidates(f, g, ctx)
     fc, gc = f.coeffs_in_last_var, g.coeffs_in_last_var  # () for a zero polynomial
-    for x in ctx.elements() if cands is None else cands:
+    res = fc[0] if query._resultant is None else query._resultant
+    if not res:
+        xs = ctx.elements()
+    else:
+        xs = sorted(rational_roots(res, ctx)) if upoly_deg(res) >= 1 else []
+    for x in xs:
         for y in _common_y_roots(y_poly_at(fc, x, ctx), y_poly_at(gc, x, ctx), ctx):
             yield (x, y)
 
@@ -350,7 +375,7 @@ def cond_h_certificate(query: ZeroDimQuery) -> CertResult:
     ctx = query.ctx
     d = query.dmax
     f, g = query.polys
-    res = resultant_y_general(f, g, ctx)
+    res = query._resultant
     if not res:  # a zero polynomial, a shared factor, or both constant in Y
         return CertResult("not_certified", -1, False)
     deg = upoly_deg(res)

@@ -228,11 +228,17 @@ def test_modulus_validation():
         extension_field(2, 2, (1, 0, 1))  # X^2 + 1 = (X+1)^2 over GF(2)
     with pytest.raises(UsageError):
         extension_field(2, 2, (1, 1, 2))  # not reduced
+    with pytest.raises(UsageError, match="reduced"):
+        extension_field(3, 2, (3, 1, 1))  # monic, but 3 is not reduced mod 3
+    # divisible by X: the first gcd with X^p - X already catches it
+    for p, mod in ((2, (0, 1, 1)), (3, (0, 2, 1)), (5, (0, 0, 1, 1))):
+        with pytest.raises(UsageError, match="modulus is reducible"):
+            extension_field(p, len(mod) - 1, mod)
     extension_field(2, 2, (1, 1, 1))
 
 
 def test_modulus_given_as_list_keeps_field_identity():
-    # lru_caches keyed on the field (resultant_y, lift_with_embedding) hash it
+    # lru_caches keyed on the field (lift_with_embedding) hash it
     ctx = extension_field(2, 2, [1, 1, 1])
     assert hash(ctx) == hash(extension_field(2, 2))
     assert ctx == extension_field(2, 2) == field_for_order(4)

@@ -384,6 +384,17 @@ def test_summary_all_passed_at_reference_parameters():
     assert summary["mean_strips"]["passed"] is True
 
 
+def test_mean_strips_passes_only_within_three_standard_errors():
+    # the bound at q31 r5 s2 d3 is about 28.85; both samples have mean 30
+    assert 28 < mc.expected_strips_bound(31, 5, 2, 3).value < 29
+    tight = mc._mean_strips_block([30] * 10, 31, 5, 2, 3)  # SE 0: above by more than 3 SE
+    assert tight["mean"] == 30 and tight["se_mean"] == 0
+    assert tight["passed"] is False
+    loose = mc._mean_strips_block([28, 32] * 5, 31, 5, 2, 3)  # SE 2/3: above by less than 3 SE = 2
+    assert loose["mean"] == 30 and loose["se_mean"] == pytest.approx(2 / 3)
+    assert loose["passed"] is True
+
+
 def test_aborted_trials_counted():
     # a field too large for the exhaustive grid: every trial aborts
     records, summary = run_experiment(4099, 4, 2, 2, 3, seed=1)

@@ -11,7 +11,6 @@ from svsearch.mpoly import (
     monomials,
     rational_roots,
     resultant_y,
-    resultant_y_general,
     polys_from_slots,
     slot_array,
 )
@@ -30,6 +29,7 @@ from svsearch.upoly import (
     xq_mod,
 )
 from svsearch.sampler import RngStream
+from svsearch.zdsolve import resultant_y_general
 
 
 def P(nvars, terms, ctx):

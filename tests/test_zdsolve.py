@@ -365,16 +365,21 @@ def test_certificate_examples():
         cond_h_certificate(ZeroDimQuery(c5, 3, tuple(MPoly.zero(3) for _ in range(3)), 2))
 
 
-def test_certificate_and_backend_share_one_resultant():
+def test_certificate_and_backend_share_one_resultant(monkeypatch):
     c5 = prime_field(5)
     f = P(2, [((2, 0), 1), ((0, 1), 4)], c5)
     g = P(2, [((0, 2), 1), ((0, 0), 3)], c5)
     query = ZeroDimQuery(c5, 2, (f, g), 2)
-    resultant_y.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return resultant_y(*args)
+
+    monkeypatch.setattr(zdsolve, "resultant_y", counted)
     cond_h_certificate(query)
     find_zero(query, "resultant")
-    info = resultant_y.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert calls == [(f, g, c5)]
 
 
 def test_certificate_invariant():
