@@ -39,6 +39,9 @@ ExpVec = tuple[int, ...]
 
 LIFT_TABLE_LIMIT = 1 << 16  # largest extension base whose element table lift_with_embedding builds
 SLOT_LIMIT = 1 << 16  # most coefficient slots, C(r + d, r), a system's polynomials may have
+# most sample points interpolated through a cached inverse Vandermonde
+# matrix; building one takes O(n^3) field operations, 0.2 s at 64 points
+VANDERMONDE_LIMIT = 64
 
 
 def check_slots(nvars: int, maxdeg: int) -> int:
@@ -364,17 +367,19 @@ def rational_roots(f: UPoly, ctx: FieldCtx) -> set[int]:
 
     g = gcd(f, X^q - X) is the product of the distinct linear factors of
     f, and equal-degree splitting takes g apart, so the cost grows with
-    deg g and log q, not with q.  The splitters come from a fixed
-    sequence, so results are reproducible without an RNG.
+    deg g and log q, not with q.  A linear f divides X^q - X, so it is
+    its own g.  The splitters come from a fixed sequence, so results are
+    reproducible without an RNG.
     """
     check_coeffs(ctx, f)
     if not f:
         raise DomainError("zero polynomial has every element as a root")
     roots: set[int] = set()
-    if upoly_deg(f) >= 1:
+    g = f
+    if upoly_deg(f) > 1:
         xq = upoly_pow_mod(X_POLY, ctx.q, f, ctx)
         g = upoly_gcd_unchecked(f, upoly_sub(xq, X_POLY, ctx), ctx)
-        _split_linear_product(g, ctx, roots)
+    _split_linear_product(g, ctx, roots)
     return roots
 
 
@@ -458,6 +463,109 @@ def y_poly_at(fc: tuple[UPoly, ...], x: int, ctx: FieldCtx) -> UPoly:
     return upoly_trim([upoly_eval(cj, x, ctx) for cj in fc])
 
 
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 arrays of residues mod p < 2^31.
+
+    One int64 product while a sum of a.shape[1] products of residues,
+    each at most (p-1)^2, stays below 2^63; past that (numpy wraps
+    silently) the sum is reduced after each term.
+    """
+    if a.shape[1] * (p - 1) ** 2 < 1 << 63:
+        return a @ b % p
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for col, row in zip(a.T, b):
+        out += np.outer(col, row)
+        out %= p
+    return out
+
+
+@lru_cache(maxsize=16)
+def _power_table(p: int, exps: int, points: int) -> np.ndarray:
+    """x^e mod p as an int64 array, row e < exps, column x < points."""
+    xs = np.arange(points, dtype=np.int64)
+    table = np.ones((exps, points), dtype=np.int64)
+    for e in range(1, exps):
+        table[e] = table[e - 1] * xs % p
+    return table
+
+
+@lru_cache(maxsize=16)
+def _inverse_vandermonde(ctx: FieldCtx, n: int) -> np.ndarray:
+    """The int64 matrix taking the values at x = 0..n-1 of a polynomial of
+    degree < n to its coefficients: column i is the Lagrange basis
+    polynomial of point i."""
+    basis = [lagrange_interpolate(range(n), [int(i == j) for j in range(n)], ctx) for i in range(n)]
+    return np.array([list(b) + [0] * (n - len(b)) for b in basis], dtype=np.int64).T
+
+
+def _pow_lanes(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p in every lane, e >= 1, by squaring."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = out * out % p
+        if bit == "1":
+            out = out * a % p
+    return out
+
+
+def _lane_resultants(F: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
+    """`upoly_resultant` of column i of F and of G (coefficients by row,
+    X^0 first, every lane's leading row nonzero) for all lanes at once.
+
+    The remainder sequence runs in lockstep, as if every remainder dropped
+    the degree by exactly one.  That is exact in every lane where it holds,
+    and there the result is a product of nonzero leading coefficients.  A
+    lane where a remainder drops further or vanishes multiplies in its
+    zero leading coefficient at the next step, so it comes out 0, which
+    the caller must recompute.
+    """
+    n, m = len(F) - 1, len(G) - 1
+    acc = np.ones(F.shape[1], dtype=np.int64)
+    negate = False
+    while m > 0:
+        negate ^= bool(n & m & 1)
+        if n < m:  # f mod g = f: Res(f, g) = (-1)^(nm) Res(g, f)
+            F, G, n, m = G, F, m, n
+            continue
+        inv = np.array([pow(c, -1, p) if c else 0 for c in G[m].tolist()], dtype=np.int64)
+        low = G[:m] * inv % p  # g made monic, without its leading 1
+        R = F.copy()
+        for top in range(n, m - 1, -1):
+            R[top - m : top] -= R[top] * low
+            R[top - m : top] %= p
+        acc = acc * _pow_lanes(G[m], n - m + 1, p) % p
+        F, G, n, m = G, R[:m], m, m - 1
+    acc = acc * _pow_lanes(G[0], n, p) % p
+    return -acc % p if negate else acc
+
+
+def _resultant_y_lanes(fc, gc, bound: int, pool: int, ctx: FieldCtx) -> UPoly:
+    """`resultant_y` over GF(p) with p >= pool, its sample points as numpy
+    lanes: the first bound + 1 points x < pool where neither leading
+    Y-coefficient vanishes, as the scalar loop picks them.
+
+    Every Y-coefficient is evaluated at every x < pool by one product
+    against a power table, and the Euclidean remainders run in lockstep
+    (`_lane_resultants`); a lane where that gives 0 is recomputed by
+    `upoly_resultant`.  At x = 0..bound, up to VANDERMONDE_LIMIT points,
+    the values interpolate through a cached inverse Vandermonde matrix,
+    else by `lagrange_interpolate`.
+    """
+    p, n = ctx.p, len(fc) - 1
+    width = max(len(c) for c in fc + gc)
+    coeffs = np.array([list(c) + [0] * (width - len(c)) for c in fc + gc], dtype=np.int64)
+    values = _matmul_mod(coeffs, _power_table(p, width, pool), p)
+    F, G = values[: n + 1], values[n + 1 :]
+    lanes = np.flatnonzero((F[-1] != 0) & (G[-1] != 0))[: bound + 1]
+    F, G = F[:, lanes], G[:, lanes]
+    ys = _lane_resultants(F, G, p)
+    for i in np.flatnonzero(ys == 0).tolist():
+        ys[i] = upoly_resultant(tuple(F[:, i].tolist()), tuple(G[:, i].tolist()), ctx)
+    if bound < VANDERMONDE_LIMIT and lanes[-1] == bound:  # lanes are 0..bound
+        return upoly_trim(_matmul_mod(_inverse_vandermonde(ctx, bound + 1), ys[:, None], p)[:, 0].tolist())
+    return lagrange_interpolate(lanes.tolist(), ys.tolist(), ctx)
+
+
 def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
     """Resultant of two bivariate polynomials with respect to the second
     variable, as a univariate polynomial in the first.
@@ -466,9 +574,11 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
     sample points where neither leading Y-coefficient vanishes, take the
     resultant of the two univariate images by Euclidean remainders
     (`upoly_resultant`), and interpolate.
-    The sample points are drawn from the base field, or from an extension
-    when the base field is too small; the interpolated coefficients are
-    then mapped back (they must lie in the base field).
+    Over GF(p) with enough points in the field, the points run as numpy
+    lanes (`_resultant_y_lanes`).  Otherwise they run one at a time, drawn
+    from the base field, or from an extension when the base field is too
+    small; the interpolated coefficients are then mapped back (they must
+    lie in the base field).
     """
     if f.nvars != 2 or g.nvars != 2:
         raise UsageError("resultant_y expects bivariate polynomials")
@@ -481,6 +591,8 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
         raise UsageError("both polynomials must have positive degree in Y")
     bound = f.degree * g.degree
     need_pool = bound + 1 + max(upoly_deg(fc[n]), 0) + max(upoly_deg(gc[m]), 0)
+    if ctx.k == 1 and ctx.q >= need_pool:
+        return _resultant_y_lanes(fc, gc, bound, need_pool, ctx)
 
     work = ctx
     if ctx.q < need_pool:

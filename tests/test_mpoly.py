@@ -1,11 +1,15 @@
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from svsearch import mpoly
 from svsearch.errors import DomainError, UsageError
 from svsearch.ffield import LOG_TABLE_LIMIT, FieldCtx, field_for_order, prime_field
 from svsearch.mpoly import (
+    VANDERMONDE_LIMIT,
     MPoly,
+    _matmul_mod,
     lift_with_embedding,
     monomial_row,
     monomials,
@@ -13,6 +17,7 @@ from svsearch.mpoly import (
     resultant_y,
     polys_from_slots,
     slot_array,
+    y_poly_at,
 )
 from svsearch.upoly import (
     is_squarefree,
@@ -358,6 +363,12 @@ def test_rational_roots_examples():
         assert rational_roots(xq_minus_x, ctx) == set(ctx.elements())
     with pytest.raises(DomainError):
         rational_roots((), c5)
+    # a linear f is the gcd of itself and X^q - X: over GF(p), GF(2^k) and
+    # an odd GF(p^k), its one root against a scan of the field
+    for q in (1009, 256, 243):
+        ctx = field_for_order(q)
+        for f in ((0, 1), (5, 7), (q - 1, 3), (1, q - 1)):
+            assert rational_roots(f, ctx) == {x for x in ctx.elements() if upoly_eval(f, x, ctx) == 0}
 
 
 PRIME_POWERS_TO_64 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64)  # every prime power <= 64
@@ -502,19 +513,143 @@ def _sylvester_symbolic(f, g, ctx):
 
 
 def test_resultant_matches_symbolic_sylvester():
+    # q <= 7 at d = 3 lifts its sample points; the rest run them as lanes
     rng = RngStream(47, 0)
-    for q in (2, 3, 5, 7):
+    for q, d in ((2, 3), (3, 3), (5, 3), (7, 3), (11, 2), (101, 3), (1009, 3), (2**31 - 1, 3)):
         ctx = field_for_order(q)
         trials = 0
         while trials < 12:
-            f = random_poly(2, 3, ctx, rng)
-            g = random_poly(2, 3, ctx, rng)
+            f = random_poly(2, d, ctx, rng)
+            g = random_poly(2, d, ctx, rng)
             fc = f.coeffs_in_last_var if not f.is_zero() else []
             gc = g.coeffs_in_last_var if not g.is_zero() else []
             if len(fc) - 1 < 1 or len(gc) - 1 < 1:
                 continue
             trials += 1
             assert resultant_y(f, g, ctx) == _sylvester_symbolic(f, g, ctx)
+
+
+def _plus_x_minus(f_items, x0, h_items, ctx):
+    """The terms of f + (X - x0) * h."""
+    out = list(f_items)
+    for (ex, ey), c in h_items:
+        out += [((ex + 1, ey), c), ((ex, ey), ctx.neg(ctx.mul(x0, c)))]
+    return out
+
+
+RESULTANT_FIELDS = {q: field_for_order(q) for q in (3, 11, 101, 1009, 2**31 - 1)}
+
+
+@st.composite
+def bivariate_pairs(draw):
+    """A field and two polynomials of positive degree in Y and total degree
+    <= 3.  Sometimes g = f + (X - x0) * h, so that f(x0, Y) = g(x0, Y)."""
+    ctx = RESULTANT_FIELDS[draw(st.sampled_from(sorted(RESULTANT_FIELDS)))]
+    elt = st.integers(0, ctx.q - 1)
+
+    def items(d):
+        return draw(st.lists(st.tuples(st.sampled_from(monomials(2, d)), elt), min_size=1, max_size=10))
+
+    f_items = items(draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        g_items = _plus_x_minus(f_items, draw(st.integers(0, min(9, ctx.q - 1))), items(2), ctx)
+    else:
+        g_items = items(draw(st.integers(1, 3)))
+    f, g = MPoly.from_terms(2, f_items, ctx), MPoly.from_terms(2, g_items, ctx)
+    assume(len(f.coeffs_in_last_var) > 1 and len(g.coeffs_in_last_var) > 1)
+    return ctx, f, g
+
+
+F101 = RESULTANT_FIELDS[101]
+_F = [((0, 3), 1), ((1, 1), 2), ((2, 0), 3), ((0, 0), 5)]  # Y^3 + 2XY + 3X^2 + 5
+# g = f + (X - 4)(Y^2 + 2Y + 7): f mod g = -(X - 4)(Y^2 + 2Y + 7) vanishes at x = 4
+VANISHING_LANE = (F101, P(2, _F, F101), P(2, _plus_x_minus(_F, 4, [((0, 2), 1), ((0, 1), 2), ((0, 0), 7)], F101), F101))
+# at x = 1 the images are Y^3 + Y + 1 and Y^3 + 2Y + 1, and f mod g = -Y
+TWO_DEGREE_DROP = (
+    F101,
+    P(2, [((0, 3), 1), ((1, 2), 1), ((0, 2), 100), ((0, 1), 1), ((1, 0), 1)], F101),  # Y^3 + (X - 1)Y^2 + Y + X
+    P(2, [((0, 3), 1), ((0, 1), 2), ((0, 0), 1)], F101),
+)
+# f's leading Y-coefficient X - 2 vanishes at x = 2, inside 0..9
+LC_VANISHES_IN_RANGE = (
+    F101,
+    P(2, [((1, 2), 1), ((0, 2), 99), ((0, 1), 1), ((0, 0), 1)], F101),  # (X - 2)Y^2 + Y + 1
+    P(2, [((0, 3), 1), ((1, 0), 1)], F101),  # Y^3 + X
+)
+# every coefficient near p = 2^31 - 1: a sum of three products passes 2^63
+DENSE_P31_PAIR = (
+    P31,
+    P(2, [(e, P31.q - 1) for e in monomials(2, 3)], P31),
+    P(2, [(e, P31.q - 2 - i) for i, e in enumerate(monomials(2, 3))], P31),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bivariate_pairs())
+@example(VANISHING_LANE)
+@example(TWO_DEGREE_DROP)
+@example(LC_VANISHES_IN_RANGE)
+@example(DENSE_P31_PAIR)
+def test_resultant_matches_symbolic_sylvester_property(case):
+    ctx, f, g = case
+    res = resultant_y(f, g, ctx)
+    assert res == _sylvester_symbolic(f, g, ctx)
+    assert all(type(c) is int for c in res)
+
+
+@pytest.mark.parametrize(
+    "case,fallback,value",
+    [
+        (VANISHING_LANE, "upoly_resultant", lambda r: r == 0),
+        (TWO_DEGREE_DROP, "upoly_resultant", lambda r: r != 0),
+        (LC_VANISHES_IN_RANGE, "lagrange_interpolate", lambda r: True),
+    ],
+    ids=["vanishing-remainder", "two-degree-drop", "lc-vanishes"],
+)
+def test_resultant_lane_fallbacks_are_reached(case, fallback, value, monkeypatch):
+    # each pinned example above takes the fallback it is named for
+    ctx, f, g = case
+    results = []
+    original = getattr(mpoly, fallback)
+
+    def counted(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(mpoly, fallback, counted)
+    assert resultant_y(f, g, ctx) == _sylvester_symbolic(f, g, ctx)
+    assert results and all(value(r) for r in results)
+
+
+@pytest.mark.parametrize("df,dg,path", [(7, 9, "_inverse_vandermonde"), (8, 8, "lagrange_interpolate")])
+def test_resultant_on_each_side_of_the_vandermonde_limit(df, dg, path, monkeypatch):
+    # 64 and 65 points at x = 0..df*dg: the cached matrix serves up to
+    # VANDERMONDE_LIMIT of them.  Either way the result is the resultant
+    # at points it was not interpolated from.
+    assert (df * dg + 1 <= VANDERMONDE_LIMIT) == (path == "_inverse_vandermonde")
+    ctx = RESULTANT_FIELDS[1009]
+    rng = RngStream(67, df)
+    f, g = (
+        P(2, [(e, 1 if e == (0, d) else rng.next_below(ctx.q)) for e in monomials(2, d)], ctx) for d in (df, dg)
+    )
+    calls = []
+    original = getattr(mpoly, path)
+    monkeypatch.setattr(mpoly, path, lambda *args: calls.append(args) or original(*args))
+    res = resultant_y(f, g, ctx)
+    assert calls and upoly_deg(res) <= df * dg
+    fc, gc = f.coeffs_in_last_var, g.coeffs_in_last_var
+    for x in range(df * dg + 1, df * dg + 12):
+        assert upoly_eval(res, x, ctx) == upoly_resultant(y_poly_at(fc, x, ctx), y_poly_at(gc, x, ctx), ctx)
+
+
+def test_matmul_mod_reduces_each_term_past_int64():
+    p = 2**31 - 1
+    assert 3 * (p - 1) ** 2 >= 1 << 63  # one int64 product of these would wrap
+    a = np.array([[p - 1, p - 2, 1], [p - 3, 0, p - 1]], dtype=np.int64)
+    b = np.array([[p - 1, 2], [p - 5, p - 1], [7, p - 1]], dtype=np.int64)
+    expected = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b.tolist())] for row in a.tolist()]
+    assert _matmul_mod(a, b, p).tolist() == expected
+    assert _matmul_mod(a % 1009, b % 1009, 1009).tolist() == (a % 1009 @ (b % 1009) % 1009).tolist()
 
 
 def test_resultant_vanishes_iff_shared_root_or_lc_collapse():

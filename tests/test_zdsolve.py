@@ -276,8 +276,10 @@ def test_certificate_on_degenerate_pairs_is_pinned(q):
 
 
 # resultant-backend configs with certificates, (q, r, s, d, trials), and the
-# sha256 of their trials.csv at seed 2206, recorded before the degenerate
-# cases were folded into resultant_y_general
+# sha256 of their trials.csv at seed 2206.  The first four were recorded
+# before the degenerate cases were folded into resultant_y_general, the
+# last two while the sample points still ran one at a time: 37 points at
+# d = 6, and p = 2^31 - 1, where int64 sums are reduced term by term.
 @pytest.mark.parametrize(
     "config,sha256",
     [
@@ -285,8 +287,10 @@ def test_certificate_on_degenerate_pairs_is_pinned(q):
         ((7, 4, 2, 3, 200), "3c867477ce7b0f10a8e62465812b6e93dd0f895350a126421f4490703c83da8d"),
         ((9, 4, 2, 3, 200), "2574e095f360c7d846634138b5c361ac5c91eadf0a9189f51abea4e2680b8457"),
         ((4, 4, 2, 2, 200), "0d54ae0277d3e39cab4e61227ae5c87c3ce8331d181f18e9d82fc77cfc7efaf5"),
+        ((101, 4, 2, 6, 100), "cd4d6348d013bd14732c05177c7b139250fe0f111b8b829399d9349b43755498"),
+        ((2**31 - 1, 4, 2, 3, 100), "42d5651c8da28619617c66f53aef40b70ea7452a00018455a7137c56af5456c0"),
     ],
-    ids=["q1009", "q7-lifted-prime", "q9-lifted-extension", "q4"],
+    ids=["q1009", "q7-lifted-prime", "q9-lifted-extension", "q4", "q101-d6", "q2^31-1"],
 )
 def test_resultant_trials_csv_bytes_are_pinned(config, sha256):
     records, _ = run_experiment(*config, seed=2206, backend="resultant", want_certificates=True)
