@@ -510,14 +510,14 @@ def _pow_lanes(a: np.ndarray, e: int, p: int) -> np.ndarray:
 
 def _lane_resultants(F: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
     """`upoly_resultant` of column i of F and of G (coefficients by row,
-    X^0 first, every lane's leading row nonzero) for all lanes at once.
+    X^0 first, formal degrees len - 1) for all lanes at once.
 
-    The remainder sequence runs in lockstep, as if every remainder dropped
-    the degree by exactly one.  That is exact in every lane where it holds,
-    and there the result is a product of nonzero leading coefficients.  A
-    lane where a remainder drops further or vanishes multiplies in its
-    zero leading coefficient at the next step, so it comes out 0, which
-    the caller must recompute.
+    The remainder sequence runs in lockstep, as if every divisor's top row
+    were nonzero and every remainder dropped the degree by exactly one.
+    That is exact in every lane where it holds.  A lane where a divisor's
+    top coefficient is 0 (a vanishing leading Y-coefficient, a remainder
+    that drops further or vanishes) multiplies in that 0, so it comes out
+    0, which the caller must recompute.
     """
     n, m = len(F) - 1, len(G) - 1
     acc = np.ones(F.shape[1], dtype=np.int64)
@@ -539,46 +539,41 @@ def _lane_resultants(F: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
     return -acc % p if negate else acc
 
 
-def _resultant_y_lanes(fc, gc, bound: int, pool: int, ctx: FieldCtx) -> UPoly:
-    """`resultant_y` over GF(p) with p >= pool, its sample points as numpy
-    lanes: the first bound + 1 points x < pool where neither leading
-    Y-coefficient vanishes, as the scalar loop picks them.
+def _resultant_y_lanes(fc, gc, bound: int, ctx: FieldCtx) -> UPoly:
+    """`resultant_y` over GF(p) with p > bound, its sample points
+    x = 0..bound as numpy lanes.
 
-    Every Y-coefficient is evaluated at every x < pool by one product
-    against a power table, and the Euclidean remainders run in lockstep
+    Every Y-coefficient is evaluated at every point by one product against
+    a power table, and the Euclidean remainders run in lockstep
     (`_lane_resultants`); a lane where that gives 0 is recomputed by
-    `upoly_resultant`.  At x = 0..bound, up to VANDERMONDE_LIMIT points,
-    the values interpolate through a cached inverse Vandermonde matrix,
-    else by `lagrange_interpolate`.
+    `upoly_resultant`.  Up to VANDERMONDE_LIMIT points, the values
+    interpolate through a cached inverse Vandermonde matrix, else by
+    `lagrange_interpolate`.
     """
     p, n = ctx.p, len(fc) - 1
     width = max(len(c) for c in fc + gc)
     coeffs = np.array([list(c) + [0] * (width - len(c)) for c in fc + gc], dtype=np.int64)
-    values = _matmul_mod(coeffs, _power_table(p, width, pool), p)
+    values = _matmul_mod(coeffs, _power_table(p, width, bound + 1), p)
     F, G = values[: n + 1], values[n + 1 :]
-    lanes = np.flatnonzero((F[-1] != 0) & (G[-1] != 0))[: bound + 1]
-    F, G = F[:, lanes], G[:, lanes]
     ys = _lane_resultants(F, G, p)
     for i in np.flatnonzero(ys == 0).tolist():
         ys[i] = upoly_resultant(tuple(F[:, i].tolist()), tuple(G[:, i].tolist()), ctx)
-    if bound < VANDERMONDE_LIMIT and lanes[-1] == bound:  # lanes are 0..bound
+    if bound < VANDERMONDE_LIMIT:
         return upoly_trim(_matmul_mod(_inverse_vandermonde(ctx, bound + 1), ys[:, None], p)[:, 0].tolist())
-    return lagrange_interpolate(lanes.tolist(), ys.tolist(), ctx)
+    return lagrange_interpolate(range(bound + 1), ys.tolist(), ctx)
 
 
 def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
     """Resultant of two bivariate polynomials with respect to the second
     variable, as a univariate polynomial in the first.
 
-    Computed by evaluation-interpolation: specialize the first variable at
-    sample points where neither leading Y-coefficient vanishes, take the
-    resultant of the two univariate images by Euclidean remainders
-    (`upoly_resultant`), and interpolate.
-    Over GF(p) with enough points in the field, the points run as numpy
-    lanes (`_resultant_y_lanes`).  Otherwise they run one at a time, drawn
-    from the base field, or from an extension when the base field is too
-    small; the interpolated coefficients are then mapped back (they must
-    lie in the base field).
+    Computed by evaluation-interpolation at x = 0..B, B = deg f * deg g
+    >= deg R.  R is the Sylvester determinant at the formal Y-degrees, so
+    R(x) is `upoly_resultant` of the images f(x, Y) and g(x, Y) at those
+    degrees, also where a leading Y-coefficient vanishes.  Over GF(p) with
+    p > B the points run as numpy lanes (`_resultant_y_lanes`).  Otherwise
+    they run one at a time, in an extension GF(q^e) > B when q <= B, whose
+    interpolated coefficients are mapped back (they must lie in GF(q)).
     """
     if f.nvars != 2 or g.nvars != 2:
         raise UsageError("resultant_y expects bivariate polynomials")
@@ -586,40 +581,27 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
         raise UsageError("resultant_y expects nonzero polynomials")
     fc = f.coeffs_in_last_var
     gc = g.coeffs_in_last_var
-    n, m = len(fc) - 1, len(gc) - 1
-    if n < 1 or m < 1:
+    if len(fc) < 2 or len(gc) < 2:
         raise UsageError("both polynomials must have positive degree in Y")
     bound = f.degree * g.degree
-    need_pool = bound + 1 + max(upoly_deg(fc[n]), 0) + max(upoly_deg(gc[m]), 0)
-    if ctx.k == 1 and ctx.q >= need_pool:
-        return _resultant_y_lanes(fc, gc, bound, need_pool, ctx)
+    if ctx.k == 1 and ctx.q > bound:
+        return _resultant_y_lanes(fc, gc, bound, ctx)
 
     work = ctx
-    if ctx.q < need_pool:
+    if ctx.q <= bound:
         e = 2
-        while ctx.q ** e < need_pool:
+        while ctx.q ** e <= bound:
             e += 1
         work, embed, unembed = lift_with_embedding(ctx, e)
         fc = [tuple(embed(c) for c in cj) for cj in fc]
         gc = [tuple(embed(c) for c in cj) for cj in gc]
 
-    xs: list[int] = []
-    ys: list[int] = []
-    for x in work.elements():
-        # y_poly_at trims: a shorter image means a leading Y-coefficient vanishes at x
-        fy = y_poly_at(fc, x, work)
-        if len(fy) <= n:
-            continue
-        gy = y_poly_at(gc, x, work)
-        if len(gy) <= m:
-            continue
-        xs.append(x)
+    ys = []
+    for x in range(bound + 1):  # the images keep their formal Y-degrees: no trim
+        fy = tuple(upoly_eval(cj, x, work) for cj in fc)
+        gy = tuple(upoly_eval(cj, x, work) for cj in gc)
         ys.append(upoly_resultant(fy, gy, work))
-        if len(xs) == bound + 1:
-            break
-    if len(xs) < bound + 1:
-        raise CapacityError("not enough usable evaluation points")
-    res = lagrange_interpolate(xs, ys, work)
+    res = lagrange_interpolate(range(bound + 1), ys, work)
     if work is not ctx:
         try:
             res = upoly_trim([unembed[c] for c in res])

@@ -513,7 +513,7 @@ def _sylvester_symbolic(f, g, ctx):
 
 
 def test_resultant_matches_symbolic_sylvester():
-    # q <= 7 at d = 3 lifts its sample points; the rest run them as lanes
+    # q <= 9 at d = 3 lifts its sample points x = 0..9; the rest run them as lanes
     rng = RngStream(47, 0)
     for q, d in ((2, 3), (3, 3), (5, 3), (7, 3), (11, 2), (101, 3), (1009, 3), (2**31 - 1, 3)):
         ctx = field_for_order(q)
@@ -570,7 +570,8 @@ TWO_DEGREE_DROP = (
     P(2, [((0, 3), 1), ((1, 2), 1), ((0, 2), 100), ((0, 1), 1), ((1, 0), 1)], F101),  # Y^3 + (X - 1)Y^2 + Y + X
     P(2, [((0, 3), 1), ((0, 1), 2), ((0, 0), 1)], F101),
 )
-# f's leading Y-coefficient X - 2 vanishes at x = 2, inside 0..9
+# f's leading Y-coefficient X - 2 vanishes at x = 2, inside 0..9: the image
+# Y + 1 keeps its formal Y-degree 2, so its lane comes out 0 and is recomputed
 LC_VANISHES_IN_RANGE = (
     F101,
     P(2, [((1, 2), 1), ((0, 2), 99), ((0, 1), 1), ((0, 0), 1)], F101),  # (X - 2)Y^2 + Y + 1
@@ -602,7 +603,7 @@ def test_resultant_matches_symbolic_sylvester_property(case):
     [
         (VANISHING_LANE, "upoly_resultant", lambda r: r == 0),
         (TWO_DEGREE_DROP, "upoly_resultant", lambda r: r != 0),
-        (LC_VANISHES_IN_RANGE, "lagrange_interpolate", lambda r: True),
+        (LC_VANISHES_IN_RANGE, "upoly_resultant", lambda r: r != 0),
     ],
     ids=["vanishing-remainder", "two-degree-drop", "lc-vanishes"],
 )
@@ -619,6 +620,33 @@ def test_resultant_lane_fallbacks_are_reached(case, fallback, value, monkeypatch
     monkeypatch.setattr(mpoly, fallback, counted)
     assert resultant_y(f, g, ctx) == _sylvester_symbolic(f, g, ctx)
     assert results and all(value(r) for r in results)
+
+
+@pytest.mark.parametrize(
+    "q,f_items,g_items,lifts",
+    [
+        # B = 9: the points 0..9 fit in GF(11), though both leading
+        # Y-coefficients vanish at x = 0
+        (11, [((1, 2), 1), ((0, 1), 1), ((0, 0), 1)], [((1, 2), 1), ((3, 0), 1), ((0, 0), 2)], 0),
+        # B = 4 and B = 6: the points are the whole field, and a leading
+        # Y-coefficient vanishes at x = 0 (both at once in GF(5))
+        (5, [((1, 1), 1), ((0, 0), 1)], [((1, 1), 1), ((1, 0), 1), ((0, 1), 1)], 0),
+        (7, [((1, 1), 1), ((0, 0), 2)], [((1, 2), 1), ((0, 2), 1), ((0, 1), 1), ((1, 0), 1)], 0),
+        # q <= B: the points come from GF(q^2)
+        (5, [((1, 2), 1), ((0, 1), 1), ((0, 0), 1)], [((0, 3), 1), ((1, 0), 1)], 1),
+        (4, [((1, 1), 1), ((0, 0), 1)], [((1, 1), 1), ((1, 0), 1), ((0, 1), 2)], 1),
+    ],
+    ids=["gf11-b9", "gf5-b4", "gf7-b6", "gf5-b9-lifts", "gf4-b4-lifts"],
+)
+def test_resultant_samples_x_0_to_b_and_lifts_only_when_q_le_b(q, f_items, g_items, lifts, monkeypatch):
+    ctx = field_for_order(q)
+    f, g = P(2, f_items, ctx), P(2, g_items, ctx)
+    assert (ctx.q <= f.degree * g.degree) == bool(lifts)
+    calls = []
+    original = mpoly.lift_with_embedding
+    monkeypatch.setattr(mpoly, "lift_with_embedding", lambda *args: calls.append(args) or original(*args))
+    assert resultant_y(f, g, ctx) == _sylvester_symbolic(f, g, ctx)
+    assert len(calls) == lifts
 
 
 @pytest.mark.parametrize("df,dg,path", [(7, 9, "_inverse_vandermonde"), (8, 8, "lagrange_interpolate")])

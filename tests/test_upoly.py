@@ -1,6 +1,9 @@
 """The univariate kernels against schoolbook references built from the
 checked public field operations, and the validation at their entry points."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +231,34 @@ def test_resultant_matches_sylvester_determinant(case):
     assert res == ref_sylvester_determinant(f, g, ctx)
     if kind == "shared":
         assert res == 0
+
+
+# (f, g) at formal degrees len - 1, with a top coefficient of 0 somewhere
+FORMAL_DEGREE_PAIRS = {
+    "f-top-zero": ((1, 1, 0), (2, 0, 1)),
+    "f-top-zero-odd": ((2, 1, 0, 0), (1, 3, 1)),
+    "g-top-zero": ((1, 1), (1, 0)),  # the Sylvester determinant is 1
+    "g-top-zero-odd": ((2, 3, 1, 1), (1, 2, 0)),
+    "both-tops-zero": ((1, 2, 0), (3, 0)),  # a zero first column
+    "f-zero-image": ((0, 0, 0), (1, 2, 1)),
+    "g-zero-image": ((1, 2, 1), (0, 0)),
+    "f-constant-image": ((3, 0, 0), (1, 2, 5)),
+    "g-constant-image": ((1, 2, 5, 1), (3, 0)),
+}
+
+
+@pytest.mark.parametrize("q", [101, 8, 9])
+def test_resultant_at_formal_degrees_with_zero_top_coefficients(q):
+    ctx = RESULTANT_FIELDS[q]
+    for name, (f, g) in FORMAL_DEGREE_PAIRS.items():
+        assert upoly_resultant(f, g, ctx) == ref_sylvester_determinant(f, g, ctx), name
+    # every padding of a few random pairs by up to two top zeros on each side
+    rng = random.Random(q)
+    for _ in range(20):
+        f, g = ([rng.randrange(q) for _ in range(rng.randint(1, 4))] + [rng.randrange(1, q)] for _ in range(2))
+        for pad_f, pad_g in product(range(3), repeat=2):
+            fp, gp = tuple(f + [0] * pad_f), tuple(g + [0] * pad_g)
+            assert upoly_resultant(fp, gp, ctx) == ref_sylvester_determinant(fp, gp, ctx), (fp, gp)
 
 
 @settings(max_examples=80, deadline=None)
