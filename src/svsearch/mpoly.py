@@ -459,8 +459,9 @@ def lift_with_embedding(ctx: FieldCtx, e: int):
 
 
 def y_poly_at(fc: tuple[UPoly, ...], x: int, ctx: FieldCtx) -> UPoly:
-    """f(x, Y) as a polynomial in Y, from f's `coeffs_in_last_var` fc."""
-    return upoly_trim([upoly_eval(cj, x, ctx) for cj in fc])
+    """f(x, Y) as a polynomial in Y, from f's `coeffs_in_last_var` fc, at
+    f's formal Y-degree: untrimmed, its top coefficients may be 0."""
+    return tuple(upoly_eval(cj, x, ctx) for cj in fc)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -486,6 +487,7 @@ def _power_table(p: int, exps: int, points: int) -> np.ndarray:
     table = np.ones((exps, points), dtype=np.int64)
     for e in range(1, exps):
         table[e] = table[e - 1] * xs % p
+    table.flags.writeable = False  # a shared cache entry
     return table
 
 
@@ -495,29 +497,23 @@ def _inverse_vandermonde(ctx: FieldCtx, n: int) -> np.ndarray:
     degree < n to its coefficients: column i is the Lagrange basis
     polynomial of point i."""
     basis = [lagrange_interpolate(range(n), [int(i == j) for j in range(n)], ctx) for i in range(n)]
-    return np.array([list(b) + [0] * (n - len(b)) for b in basis], dtype=np.int64).T
-
-
-def _pow_lanes(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a^e mod p in every lane, e >= 1, by squaring."""
-    out = a
-    for bit in bin(e)[3:]:
-        out = out * out % p
-        if bit == "1":
-            out = out * a % p
-    return out
+    matrix = np.array([list(b) + [0] * (n - len(b)) for b in basis], dtype=np.int64).T
+    matrix.flags.writeable = False  # a shared cache entry
+    return matrix
 
 
 def _lane_resultants(F: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
     """`upoly_resultant` of column i of F and of G (coefficients by row,
-    X^0 first, formal degrees len - 1) for all lanes at once.
+    X^0 first, any formal degrees len - 1 >= 0) for all lanes at once.
 
     The remainder sequence runs in lockstep, as if every divisor's top row
     were nonzero and every remainder dropped the degree by exactly one.
-    That is exact in every lane where it holds.  A lane where a divisor's
-    top coefficient is 0 (a vanishing leading Y-coefficient, a remainder
-    that drops further or vanishes) multiplies in that 0, so it comes out
-    0, which the caller must recompute.
+    That is exact in every lane where it holds: each of the n - m + 1
+    reduction steps multiplies lc(g) in, and the last constant g[0] goes
+    in once per remaining degree.  A lane where a divisor's top
+    coefficient is 0 (a vanishing leading Y-coefficient, a remainder that
+    drops further or vanishes) multiplies in that 0, so it comes out 0,
+    which the caller must recompute.
     """
     n, m = len(F) - 1, len(G) - 1
     acc = np.ones(F.shape[1], dtype=np.int64)
@@ -527,15 +523,17 @@ def _lane_resultants(F: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
         if n < m:  # f mod g = f: Res(f, g) = (-1)^(nm) Res(g, f)
             F, G, n, m = G, F, m, n
             continue
-        inv = np.array([pow(c, -1, p) if c else 0 for c in G[m].tolist()], dtype=np.int64)
+        lead = G[m]
+        inv = np.array([pow(c, -1, p) if c else 0 for c in lead.tolist()], dtype=np.int64)
         low = G[:m] * inv % p  # g made monic, without its leading 1
         R = F.copy()
         for top in range(n, m - 1, -1):
             R[top - m : top] -= R[top] * low
             R[top - m : top] %= p
-        acc = acc * _pow_lanes(G[m], n - m + 1, p) % p
+            acc = acc * lead % p  # lc(g)^(n - m + 1) over the loop
         F, G, n, m = G, R[:m], m, m - 1
-    acc = acc * _pow_lanes(G[0], n, p) % p
+    for _ in range(n):
+        acc = acc * G[0] % p
     return -acc % p if negate else acc
 
 
@@ -567,10 +565,12 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
     """Resultant of two bivariate polynomials with respect to the second
     variable, as a univariate polynomial in the first.
 
-    Computed by evaluation-interpolation at x = 0..B, B = deg f * deg g
-    >= deg R.  R is the Sylvester determinant at the formal Y-degrees, so
+    Both must be nonzero, and one of positive degree in Y.  Computed by
+    evaluation-interpolation at x = 0..B, B = deg f * deg g >= deg R.
+    R is the Sylvester determinant at the formal Y-degrees, so
     R(x) is `upoly_resultant` of the images f(x, Y) and g(x, Y) at those
-    degrees, also where a leading Y-coefficient vanishes.  Over GF(p) with
+    degrees (`y_poly_at`), also where a leading Y-coefficient vanishes,
+    and R = c^deg_Y(g) for an f = c(X) constant in Y.  Over GF(p) with
     p > B the points run as numpy lanes (`_resultant_y_lanes`).  Otherwise
     they run one at a time, in an extension GF(q^e) > B when q <= B, whose
     interpolated coefficients are mapped back (they must lie in GF(q)).
@@ -581,8 +581,8 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
         raise UsageError("resultant_y expects nonzero polynomials")
     fc = f.coeffs_in_last_var
     gc = g.coeffs_in_last_var
-    if len(fc) < 2 or len(gc) < 2:
-        raise UsageError("both polynomials must have positive degree in Y")
+    if len(fc) < 2 and len(gc) < 2:
+        raise UsageError("one polynomial must have positive degree in Y")
     bound = f.degree * g.degree
     if ctx.k == 1 and ctx.q > bound:
         return _resultant_y_lanes(fc, gc, bound, ctx)
@@ -596,11 +596,7 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
         fc = [tuple(embed(c) for c in cj) for cj in fc]
         gc = [tuple(embed(c) for c in cj) for cj in gc]
 
-    ys = []
-    for x in range(bound + 1):  # the images keep their formal Y-degrees: no trim
-        fy = tuple(upoly_eval(cj, x, work) for cj in fc)
-        gy = tuple(upoly_eval(cj, x, work) for cj in gc)
-        ys.append(upoly_resultant(fy, gy, work))
+    ys = [upoly_resultant(y_poly_at(fc, x, work), y_poly_at(gc, x, work), work) for x in range(bound + 1)]
     res = lagrange_interpolate(range(bound + 1), ys, work)
     if work is not ctx:
         try:

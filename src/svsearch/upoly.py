@@ -245,18 +245,19 @@ def lagrange_interpolate(xs: list[int], ys: list[int], ctx: FieldCtx) -> UPoly:
 
 def upoly_resultant(f: UPoly, g: UPoly, ctx: FieldCtx) -> int:
     """Res(f, g), the Sylvester determinant at the formal degrees
-    n = len(f) - 1 >= 1 and m = len(g) - 1 >= 1 (top coefficients may be
+    n = len(f) - 1 >= 0 and m = len(g) - 1 >= 0 (top coefficients may be
     0), by Euclidean remainders (von zur Gathen & Gerhard, *Modern
     Computer Algebra*, §6.3-6.4):
     Res(f, g) = (-1)^(nm) * lc(g)^(n - deg r) * Res(g, r) with r = f mod g,
     down to Res(f, c) = c^n for a constant c, and 0 once a remainder
-    vanishes.  Only the divisor's top coefficient must be nonzero."""
+    vanishes; a constant f gives Res(c, g) = c^m the same way.  Only the
+    divisor's top coefficient must be nonzero."""
     n, m = len(f) - 1, len(g) - 1
-    if n < 1 or m < 1:
-        raise UsageError("upoly_resultant needs positive degrees")
+    if n < 0 or m < 0:
+        raise UsageError("upoly_resultant needs a coefficient on each side")
     ops = ctx.ops
     acc = 1
-    if not g[-1]:  # start from Res(g, f); a zero first column if both tops are 0
+    if m and not g[-1]:  # start from Res(g, f); a zero first column if both tops are 0
         if not f[-1]:
             return 0
         f, g, n, m = g, f, m, n

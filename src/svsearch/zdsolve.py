@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx, factor
-from .mpoly import (MPoly, check_polys, lift_with_embedding, monomials, polys_from_slots, rational_roots, resultant_y,
-                    slot_array, y_poly_at)
-from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked, upoly_mul
+from .mpoly import (MPoly, _power_table, check_polys, lift_with_embedding, monomials, polys_from_slots, rational_roots,
+                    resultant_y, slot_array, y_poly_at)
+from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked, upoly_trim
 
 GRID_LIMIT = 1 << 24
 
@@ -130,10 +130,7 @@ class _GridEval:
             self.p_most = bits.type(((1 << width) - 1) // ctx.p if ctx.p % 2 else 0)
             self._vals = np.empty(self.rows * q, dtype=dtype)
             self._mask = np.empty(self.rows * q, dtype=bool)
-            xs = np.arange(q, dtype=np.int64)
-            self.tab = np.ones((maxdeg + 1, q), dtype=np.int64)  # x^e
-            for e in range(1, maxdeg + 1):
-                self.tab[e] = self.tab[e - 1] * xs % ctx.p
+            self.tab = _power_table(ctx.p, maxdeg + 1, q)  # x^e
         else:
             tabs = ctx.log_tables
             order = q - 1
@@ -257,6 +254,7 @@ def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
 
 
 def _common_y_roots(fx: UPoly, gx: UPoly, ctx: FieldCtx) -> list[int]:
+    fx, gx = upoly_trim(fx), upoly_trim(gx)
     if not fx and not gx:
         return list(ctx.elements())
     h = upoly_gcd_unchecked(fx, gx, ctx)  # gcd(0, g) is monic g
@@ -264,29 +262,18 @@ def _common_y_roots(fx: UPoly, gx: UPoly, ctx: FieldCtx) -> list[int]:
 
 
 def resultant_y_general(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly | None:
-    """resultant_y extended by the standard conventions for degenerate
-    Y-degrees: Res(0, g) = 0 and Res(c, g) = c^deg_Y(g).  Returns None
-    when both inputs are constant in Y (no meaningful eliminant).
+    """resultant_y extended to the two pairs it refuses: Res(0, g) = 0,
+    and None when both inputs are constant in Y (no meaningful
+    eliminant).  A pair with one side c constant in Y needs no rule of
+    its own: `resultant_y` gives c^deg_Y(other).
 
     The one place that decides degenerate pairs.
     """
     if f.is_zero() or g.is_zero():
         return ()
-    fc = f.coeffs_in_last_var
-    gc = g.coeffs_in_last_var
-    n, m = len(fc) - 1, len(gc) - 1
-    if n >= 1 and m >= 1:
-        return resultant_y(f, g, ctx)
-    if n == 0 and m == 0:
+    if len(f.coeffs_in_last_var) == 1 and len(g.coeffs_in_last_var) == 1:
         return None
-    if n == 0:
-        base, power = fc[0], m
-    else:
-        base, power = gc[0], n
-    out: UPoly = (1,)
-    for _ in range(power):
-        out = upoly_mul(out, base, ctx)
-    return out
+    return resultant_y(f, g, ctx)
 
 
 def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:

@@ -9,6 +9,7 @@ from svsearch.ffield import LOG_TABLE_LIMIT, FieldCtx, field_for_order, prime_fi
 from svsearch.mpoly import (
     VANDERMONDE_LIMIT,
     MPoly,
+    _lane_resultants,
     _matmul_mod,
     lift_with_embedding,
     monomial_row,
@@ -476,8 +477,10 @@ def test_resultant_usage_errors():
     c5 = prime_field(5)
     const_in_y = P(2, [((2, 0), 1)], c5)
     g = P(2, [((0, 1), 1)], c5)
+    # one side constant in Y is the remainder sequence's last step: c^deg_Y(other)
+    assert resultant_y(const_in_y, g, c5) == resultant_y(g, const_in_y, c5) == (0, 0, 1)
     with pytest.raises(UsageError):
-        resultant_y(const_in_y, g, c5)
+        resultant_y(const_in_y, P(2, [((1, 0), 1)], c5), c5)
     with pytest.raises(UsageError):
         resultant_y(MPoly.zero(2), g, c5)
 
@@ -523,10 +526,19 @@ def test_resultant_matches_symbolic_sylvester():
             g = random_poly(2, d, ctx, rng)
             fc = f.coeffs_in_last_var if not f.is_zero() else []
             gc = g.coeffs_in_last_var if not g.is_zero() else []
-            if len(fc) - 1 < 1 or len(gc) - 1 < 1:
+            if not fc or not gc or len(fc) == len(gc) == 1:
                 continue
             trials += 1
             assert resultant_y(f, g, ctx) == _sylvester_symbolic(f, g, ctx)
+    # one side constant in Y, on a lane field, a lifting field (B = 6 >= 5) and GF(9)
+    for q, dc, d in ((1009, 3, 3), (5, 2, 3), (9, 2, 3)):
+        ctx = field_for_order(q)
+        for _ in range(4):
+            top = ((dc, 0), 1 + rng.next_below(q - 1))
+            c = P(2, [((i, 0), rng.next_below(q)) for i in range(dc)] + [top], ctx)
+            g = random_poly(2, d, ctx, rng)
+            for a, b in ((c, g), (g, c)):
+                assert resultant_y(a, b, ctx) == _sylvester_symbolic(a, b, ctx)
 
 
 def _plus_x_minus(f_items, x0, h_items, ctx):
@@ -680,6 +692,34 @@ def test_matmul_mod_reduces_each_term_past_int64():
     assert _matmul_mod(a % 1009, b % 1009, 1009).tolist() == (a % 1009 @ (b % 1009) % 1009).tolist()
 
 
+@st.composite
+def lane_pairs(draw):
+    """A prime field and F, G for `_lane_resultants`: formal degrees
+    (n, m) in [0, 4]^2 other than (0, 0), a few lanes, and a top
+    coefficient that is 0 at times."""
+    ctx = RESULTANT_FIELDS[draw(st.sampled_from([101, 1009, 2**31 - 1]))]
+    lanes = draw(st.integers(1, 6))
+
+    def rows(deg):
+        body = [draw(st.lists(st.integers(0, ctx.p - 1), min_size=lanes, max_size=lanes)) for _ in range(deg)]
+        top = draw(st.lists(st.one_of(st.just(0), st.integers(1, ctx.p - 1)), min_size=lanes, max_size=lanes))
+        return np.array(body + [top], dtype=np.int64)
+
+    n, m = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any))
+    return ctx, rows(n), rows(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lane_pairs())
+def test_lane_resultants_match_upoly_resultant_lane_by_lane(case):
+    # a lane that comes out 0 is recomputed by `_resultant_y_lanes`; every
+    # other lane is final, so it must be the resultant itself
+    ctx, F, G = case
+    for i, lane in enumerate(_lane_resultants(F, G, ctx.p).tolist()):
+        expected = upoly_resultant(tuple(F[:, i].tolist()), tuple(G[:, i].tolist()), ctx)
+        assert lane in (0, expected), (i, lane, expected)
+
+
 def test_resultant_vanishes_iff_shared_root_or_lc_collapse():
     rng = RngStream(53, 0)
     for q in (3, 5, 7):
@@ -756,9 +796,17 @@ def test_coeffs_in_last_var_is_computed_once_and_ignored_by_equality():
 
 
 def test_upoly_resultant_requires_positive_degrees():
+    # formal degree 0 is accepted: Res(c, g) = c^m and Res(f, c) = c^n, the
+    # Sylvester determinant of c times an identity; only () has no degree
     c5 = prime_field(5)
+    for c in range(5):
+        for g in ((0, 1), (1, 2, 3), (4, 0, 0)):
+            m = len(g) - 1
+            assert upoly_resultant((c,), g, c5) == upoly_resultant(g, (c,), c5) == c5.pow(c, m)
     with pytest.raises(UsageError):
-        upoly_resultant((1,), (0, 1), c5)
+        upoly_resultant((), (0, 1), c5)
+    with pytest.raises(UsageError):
+        upoly_resultant((0, 1), (), c5)
 
 
 def test_resultant_root_criterion_matches_extension_scan():

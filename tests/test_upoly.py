@@ -244,6 +244,13 @@ FORMAL_DEGREE_PAIRS = {
     "g-zero-image": ((1, 2, 1), (0, 0)),
     "f-constant-image": ((3, 0, 0), (1, 2, 5)),
     "g-constant-image": ((1, 2, 5, 1), (3, 0)),
+    # formal degree 0 on one side or both: Res(f, c) = c^n, Res(c, g) = c^m
+    "f-degree-0": ((3,), (1, 2, 5)),
+    "f-degree-0-zero": ((0,), (1, 2, 0)),
+    "g-degree-0": ((1, 2, 5, 1), (3,)),
+    "g-degree-0-zero": ((1, 0), (0,)),
+    "both-degree-0": ((3,), (2,)),
+    "both-degree-0-zero": ((0,), (0,)),  # the empty determinant is 1
 }
 
 
@@ -252,13 +259,17 @@ def test_resultant_at_formal_degrees_with_zero_top_coefficients(q):
     ctx = RESULTANT_FIELDS[q]
     for name, (f, g) in FORMAL_DEGREE_PAIRS.items():
         assert upoly_resultant(f, g, ctx) == ref_sylvester_determinant(f, g, ctx), name
-    # every padding of a few random pairs by up to two top zeros on each side
-    rng = random.Random(q)
+    # every padding of a few random pairs by up to two top zeros on each side,
+    # and of each against a random image of length 1 on the other side
+    rng, consts = random.Random(q), random.Random(-q)
     for _ in range(20):
         f, g = ([rng.randrange(q) for _ in range(rng.randint(1, 4))] + [rng.randrange(1, q)] for _ in range(2))
+        c = (consts.randrange(q),)
         for pad_f, pad_g in product(range(3), repeat=2):
             fp, gp = tuple(f + [0] * pad_f), tuple(g + [0] * pad_g)
             assert upoly_resultant(fp, gp, ctx) == ref_sylvester_determinant(fp, gp, ctx), (fp, gp)
+            for a, b in ((c, gp), (fp, c)):
+                assert upoly_resultant(a, b, ctx) == ref_sylvester_determinant(a, b, ctx), (a, b)
 
 
 @settings(max_examples=80, deadline=None)
