@@ -39,9 +39,10 @@ ExpVec = tuple[int, ...]
 
 LIFT_TABLE_LIMIT = 1 << 16  # largest extension base whose element table lift_with_embedding builds
 SLOT_LIMIT = 1 << 16  # most coefficient slots, C(r + d, r), a system's polynomials may have
-# most sample points interpolated through a cached inverse Vandermonde
-# matrix; building one takes O(n^3) field operations, 0.2 s at 64 points
-VANDERMONDE_LIMIT = 64
+# rational_roots over GF(p) evaluates f at every element while p * (deg f + 1)
+# is at most this; above ~2^15.2 cells splitting is faster at degree 2
+ROOT_SCAN_CELLS = 1 << 15
+VANDERMONDE_BYTES = 1 << 21  # largest cached inverse Vandermonde matrix: 512 points of int64
 
 
 def check_slots(nvars: int, maxdeg: int) -> int:
@@ -148,6 +149,13 @@ def _gather_plan(nvars: int, m: int, maxdeg: int, rows: int) -> tuple[np.ndarray
     return split[:, 0], bins, ntails
 
 
+@lru_cache(maxsize=None)
+def _y_plan(maxdeg: int) -> np.ndarray:
+    """The flat cell j * (maxdeg + 1) + i of every slot X^i Y^j of
+    `monomials(2, maxdeg)`."""
+    return np.array([j * (maxdeg + 1) + i for i, j in monomials(2, maxdeg)], dtype=np.intp)
+
+
 def _int_array(rows) -> np.ndarray:
     """Field elements as an int64 array, or as Python ints past 2^63."""
     try:
@@ -168,12 +176,23 @@ class _SlotBlock:
     race on a block at most repeat a substitution.
     """
 
-    __slots__ = ("nvars", "maxdeg", "coeffs", "_last")
+    __slots__ = ("nvars", "maxdeg", "coeffs", "_last", "_ymats")
 
     def __init__(self, nvars: int, maxdeg: int, coeffs: np.ndarray) -> None:
         coeffs.flags.writeable = False
         self.nvars, self.maxdeg, self.coeffs = nvars, maxdeg, coeffs
-        self._last = None
+        self._last = self._ymats = None
+
+    def y_matrices(self) -> np.ndarray:
+        """For 2 variables: every row as a (maxdeg + 1)^2 matrix, the
+        coefficient of X^i Y^j at [j, i], scattered once for the block."""
+        if self._ymats is None:
+            side = self.maxdeg + 1
+            mats = np.zeros((len(self.coeffs), side * side), dtype=self.coeffs.dtype)
+            mats[:, _y_plan(self.maxdeg)] = self.coeffs
+            mats.flags.writeable = False  # shared by the block's rows
+            self._ymats = mats.reshape(-1, side, side)
+        return self._ymats
 
     def at(self, a: tuple[int, ...], ctx: FieldCtx) -> tuple:
         """Every polynomial of the block with its first len(a) variables
@@ -342,20 +361,28 @@ class MPoly:
         return block.at(tuple(a), ctx)[i]
 
     @cached_property
+    def y_matrix(self) -> np.ndarray:
+        """For a 2-variable polynomial: the coefficient of X^i Y^j at [j, i],
+        one row per power of Y up to the Y-degree (no rows when zero)."""
+        if self.nvars != 2:
+            raise UsageError("y_matrix and coeffs_in_last_var expect a bivariate polynomial")
+        block, i = self._slots
+        mat = block.y_matrices()[i]
+        rows = len(mat)
+        while rows and not mat[rows - 1].any():
+            rows -= 1
+        return mat[:rows]
+
+    @cached_property
     def coeffs_in_last_var(self) -> tuple[UPoly, ...]:
         """For a 2-variable polynomial: the coefficient of each power Y^j
-        as a univariate polynomial in X, indexed by j.
+        as a univariate polynomial in X, indexed by j (the rows of
+        `y_matrix`, trimmed).
 
         Computed once per polynomial, since the certificate, the resultant
         and the resultant backend all read it on a strip.
         """
-        if self.nvars != 2:
-            raise UsageError("coeffs_in_last_var expects a bivariate polynomial")
-        degy = max((e[1] for e, _ in self.terms), default=-1)
-        cols: list[dict[int, int]] = [dict() for _ in range(degy + 1)]
-        for (ex, ey), c in self.terms:
-            cols[ey][ex] = c
-        return tuple(upoly_trim([col.get(i, 0) for i in range(max(col, default=-1) + 1)]) for col in cols)
+        return tuple(map(upoly_trim, self.y_matrix.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +392,36 @@ class MPoly:
 def rational_roots(f: UPoly, ctx: FieldCtx) -> set[int]:
     """Exactly the roots of f in the field, each once.
 
-    g = gcd(f, X^q - X) is the product of the distinct linear factors of
-    f, and equal-degree splitting takes g apart, so the cost grows with
-    deg g and log q, not with q.  A linear f divides X^q - X, so it is
-    its own g.  The splitters come from a fixed sequence, so results are
-    reproducible without an RNG.
+    Over GF(p) with deg f >= 2 and p * (deg f + 1) <= ROOT_SCAN_CELLS,
+    f is evaluated at every element by one product against the power
+    table (`_roots_by_scan`), at a cost that grows with p * deg f.
+    Otherwise the roots come by splitting (`_roots_by_splitting`), at a
+    cost that grows with the number of roots and log q.
     """
     check_coeffs(ctx, f)
     if not f:
         raise DomainError("zero polynomial has every element as a root")
+    if ctx.k == 1 and len(f) > 2 and ctx.p * len(f) <= ROOT_SCAN_CELLS:
+        return _roots_by_scan(f, ctx.p, _power_table(ctx.p, ROOT_SCAN_CELLS // ctx.p, ctx.p))
+    return _roots_by_splitting(f, ctx)
+
+
+def _roots_by_scan(f: UPoly, p: int, table: np.ndarray) -> set[int]:
+    """The x < table.shape[1] where f vanishes over GF(p), from
+    table[e, x] = x^e mod p with at least len(f) rows: one row of
+    `_matmul_mod`.  rational_roots keeps one table per p and slices it."""
+    values = _matmul_mod(np.array([f], dtype=np.int64), table[: len(f)], p)
+    return set(np.flatnonzero(values[0] == 0).tolist())
+
+
+def _roots_by_splitting(f: UPoly, ctx: FieldCtx) -> set[int]:
+    """The roots of a nonzero f by equal-degree splitting.
+
+    g = gcd(f, X^q - X) is the product of the distinct linear factors of
+    f, and `_split_linear_product` takes g apart.  A linear f divides
+    X^q - X, so it is its own g.  The splitters come from a fixed
+    sequence, so results are reproducible without an RNG.
+    """
     roots: set[int] = set()
     g = f
     if upoly_deg(f) > 1:
@@ -482,22 +530,50 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _power_table(p: int, exps: int, points: int) -> np.ndarray:
-    """x^e mod p as an int64 array, row e < exps, column x < points."""
-    xs = np.arange(points, dtype=np.int64)
+    """x^e mod p as an int64 array, row e < exps, column x < points.
+
+    Rows are filled in doubling blocks, x^(done + e) = x^e * x^done, so
+    a table of many exponents (a small p's root scan) costs O(log exps)
+    numpy passes."""
     table = np.ones((exps, points), dtype=np.int64)
-    for e in range(1, exps):
-        table[e] = table[e - 1] * xs % p
+    if exps > 1:
+        table[1] = np.arange(points) % p
+    done = min(exps, 2)
+    while done < exps:
+        n = min(done, exps - done)
+        table[done : done + n] = table[:n] * (table[done - 1] * table[1] % p) % p
+        done += n
     table.flags.writeable = False  # a shared cache entry
     return table
 
 
 @lru_cache(maxsize=16)
-def _inverse_vandermonde(ctx: FieldCtx, n: int) -> np.ndarray:
-    """The int64 matrix taking the values at x = 0..n-1 of a polynomial of
-    degree < n to its coefficients: column i is the Lagrange basis
-    polynomial of point i."""
-    basis = [lagrange_interpolate(range(n), [int(i == j) for j in range(n)], ctx) for i in range(n)]
-    matrix = np.array([list(b) + [0] * (n - len(b)) for b in basis], dtype=np.int64).T
+def _lagrange_matrix(p: int, n: int) -> np.ndarray:
+    """The inverse Vandermonde matrix of x = 0..n-1 over GF(p), n <= p,
+    as int64: it takes the values of a polynomial of degree < n at those
+    points to its coefficients.
+
+    Column i is the Lagrange basis polynomial M / (X - i) * M'(i)^-1, with
+    M = prod_{j<n} (X - j) and M'(i) = (-1)^(n-1-i) * i! * (n-1-i)!.  M is
+    built one factor at a time, and the n quotients by one synthetic
+    division run over every i at once (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, §5.2): O(n^2) operations in n numpy passes.  Every
+    intermediate is below p^2 < 2^62, since j, i < n <= p.
+    """
+    m = np.zeros(n + 1, dtype=np.int64)  # M, X^0 first
+    m[0] = 1
+    for j in range(n):
+        m[1:] = (m[:-1] - j * m[1:]) % p  # times (X - j)
+        m[0] = -j * m[0] % p
+    xs = np.arange(n, dtype=np.int64)
+    quot = np.ones((n, n), dtype=np.int64)  # row k: X^k of M / (X - i), column i
+    for k in range(n - 1, 0, -1):
+        quot[k - 1] = (m[k] + xs * quot[k]) % p
+    fact = [1] * n
+    for k in range(1, n):
+        fact[k] = fact[k - 1] * k % p
+    scale = [pow((-1) ** (n - 1 - i) * fact[i] * fact[n - 1 - i], -1, p) for i in range(n)]
+    matrix = quot * np.array(scale, dtype=np.int64) % p
     matrix.flags.writeable = False  # a shared cache entry
     return matrix
 
@@ -537,27 +613,29 @@ def _lane_resultants(F: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
     return -acc % p if negate else acc
 
 
-def _resultant_y_lanes(fc, gc, bound: int, ctx: FieldCtx) -> UPoly:
-    """`resultant_y` over GF(p) with p > bound, its sample points
-    x = 0..bound as numpy lanes.
+def _resultant_y_lanes(fm: np.ndarray, gm: np.ndarray, bound: int, ctx: FieldCtx) -> UPoly:
+    """`resultant_y` over GF(p) with p > bound, from the `y_matrix` of
+    each side, its sample points x = 0..bound as numpy lanes.
 
-    Every Y-coefficient is evaluated at every point by one product against
-    a power table, and the Euclidean remainders run in lockstep
-    (`_lane_resultants`); a lane where that gives 0 is recomputed by
-    `upoly_resultant`.  Up to VANDERMONDE_LIMIT points, the values
-    interpolate through a cached inverse Vandermonde matrix, else by
-    `lagrange_interpolate`.
+    Every Y-coefficient is evaluated at every point by one product of the
+    stacked matrices against a power table, and the Euclidean remainders
+    run in lockstep (`_lane_resultants`); a lane where that gives 0 is
+    recomputed by `upoly_resultant`.  The values interpolate through the
+    cached inverse Vandermonde matrix of x = 0..bound (`_lagrange_matrix`,
+    O(n^2) to build) while it fits VANDERMONDE_BYTES, 512 points; past
+    that by `lagrange_interpolate`.
     """
-    p, n = ctx.p, len(fc) - 1
-    width = max(len(c) for c in fc + gc)
-    coeffs = np.array([list(c) + [0] * (width - len(c)) for c in fc + gc], dtype=np.int64)
-    values = _matmul_mod(coeffs, _power_table(p, width, bound + 1), p)
+    p, n = ctx.p, len(fm) - 1
+    coeffs = np.zeros((len(fm) + len(gm), max(fm.shape[1], gm.shape[1])), dtype=np.int64)
+    coeffs[: n + 1, : fm.shape[1]] = fm
+    coeffs[n + 1 :, : gm.shape[1]] = gm
+    values = _matmul_mod(coeffs, _power_table(p, coeffs.shape[1], bound + 1), p)
     F, G = values[: n + 1], values[n + 1 :]
     ys = _lane_resultants(F, G, p)
     for i in np.flatnonzero(ys == 0).tolist():
         ys[i] = upoly_resultant(tuple(F[:, i].tolist()), tuple(G[:, i].tolist()), ctx)
-    if bound < VANDERMONDE_LIMIT:
-        return upoly_trim(_matmul_mod(_inverse_vandermonde(ctx, bound + 1), ys[:, None], p)[:, 0].tolist())
+    if 8 * (bound + 1) ** 2 <= VANDERMONDE_BYTES:
+        return upoly_trim(_matmul_mod(_lagrange_matrix(p, bound + 1), ys[:, None], p)[:, 0].tolist())
     return lagrange_interpolate(range(bound + 1), ys.tolist(), ctx)
 
 
@@ -585,7 +663,7 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
         raise UsageError("one polynomial must have positive degree in Y")
     bound = f.degree * g.degree
     if ctx.k == 1 and ctx.q > bound:
-        return _resultant_y_lanes(fc, gc, bound, ctx)
+        return _resultant_y_lanes(f.y_matrix, g.y_matrix, bound, ctx)
 
     work = ctx
     if ctx.q <= bound:

@@ -7,10 +7,15 @@ from svsearch import mpoly
 from svsearch.errors import DomainError, UsageError
 from svsearch.ffield import LOG_TABLE_LIMIT, FieldCtx, field_for_order, prime_field
 from svsearch.mpoly import (
-    VANDERMONDE_LIMIT,
+    ROOT_SCAN_CELLS,
+    VANDERMONDE_BYTES,
     MPoly,
+    _lagrange_matrix,
     _lane_resultants,
     _matmul_mod,
+    _power_table,
+    _roots_by_scan,
+    _roots_by_splitting,
     lift_with_embedding,
     monomial_row,
     monomials,
@@ -430,6 +435,75 @@ def test_rational_roots_splitting_path_large_q():
         assert rational_roots(f, ctx) == roots
 
 
+ROOT_FIELDS = {p: prime_field(p) for p in (3, 101, 1009, 65521)}
+
+
+def _below_and_above_the_scan_cap():
+    # at GF(1009): the largest degree the scan takes, and the next one,
+    # each with a repeated root
+    ctx = ROOT_FIELDS[1009]
+    top = ROOT_SCAN_CELLS // 1009 - 1
+    return (upoly_mul(_linear_product(range(top - 2), ctx), (1, 2, 1), ctx),
+            upoly_mul(_linear_product(range(0, 2 * top - 2, 2), ctx), (1, 2, 1), ctx))
+
+
+BELOW_SCAN_CAP, ABOVE_SCAN_CAP = _below_and_above_the_scan_cap()
+
+
+@st.composite
+def root_cases(draw):
+    """A prime p and a nonzero f of degree <= 40 over GF(p): c times a
+    product of linear factors, each with a multiplicity, times an
+    arbitrary cofactor."""
+    p = draw(st.sampled_from(sorted(ROOT_FIELDS)))
+    ctx = ROOT_FIELDS[p]
+    roots = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(1, 4)), max_size=10))
+    f = _linear_product([r for r, k in roots for _ in range(k)], ctx)
+    room = 40 - upoly_deg(f)
+    cofactor = draw(st.lists(st.integers(0, p - 1), max_size=room + 1)) + [draw(st.integers(1, p - 1))]
+    return p, upoly_mul(f, upoly_trim(cofactor[-room - 1 :]), ctx)
+
+
+@settings(max_examples=120, deadline=None)
+@given(root_cases())
+@example((1009, BELOW_SCAN_CAP))
+@example((1009, ABOVE_SCAN_CAP))
+def test_rational_roots_scan_equals_splitting(case):
+    # both paths called directly; the scan reads the table rational_roots
+    # keeps for p when f fits the cap, and an uncached one of deg f + 1
+    # rows when it does not
+    p, f = case
+    ctx = ROOT_FIELDS[p]
+    if p * len(f) <= ROOT_SCAN_CELLS:
+        table = _power_table(p, ROOT_SCAN_CELLS // p, p)
+    else:
+        table = _power_table.__wrapped__(p, len(f), p)
+    roots = _roots_by_splitting(f, ctx)
+    assert _roots_by_scan(f, p, table) == roots
+    assert rational_roots(f, ctx) == roots
+
+
+def test_rational_roots_scans_below_the_cap_and_splits_above(monkeypatch):
+    calls = []
+    for name in ("_roots_by_scan", "_roots_by_splitting"):
+        original = getattr(mpoly, name)
+        monkeypatch.setattr(mpoly, name, lambda *args, _n=name, _f=original: calls.append(_n) or _f(*args))
+    c1009 = ROOT_FIELDS[1009]
+    assert len(ABOVE_SCAN_CAP) == len(BELOW_SCAN_CAP) + 1
+    assert 1009 * len(BELOW_SCAN_CAP) <= ROOT_SCAN_CELLS < 1009 * len(ABOVE_SCAN_CAP)
+    for f, path in [
+        (BELOW_SCAN_CAP, "_roots_by_scan"),
+        (ABOVE_SCAN_CAP, "_roots_by_splitting"),
+        ((5, 7), "_roots_by_splitting"),  # linear: its root in closed form
+    ]:
+        calls.clear()
+        rational_roots(f, c1009)
+        assert calls == [path]
+    calls.clear()
+    rational_roots((0, 0, 1), field_for_order(9))  # an extension field always splits
+    assert calls == ["_roots_by_splitting"]
+
+
 def test_is_squarefree_examples():
     c7 = prime_field(7)
     f = upoly_mul((6, 1), (5, 1), c7)  # (X-1)(X-2)
@@ -661,12 +735,14 @@ def test_resultant_samples_x_0_to_b_and_lifts_only_when_q_le_b(q, f_items, g_ite
     assert len(calls) == lifts
 
 
-@pytest.mark.parametrize("df,dg,path", [(7, 9, "_inverse_vandermonde"), (8, 8, "lagrange_interpolate")])
+@pytest.mark.parametrize("df,dg,path", [(7, 73, "_lagrange_matrix"), (16, 32, "lagrange_interpolate")])
 def test_resultant_on_each_side_of_the_vandermonde_limit(df, dg, path, monkeypatch):
-    # 64 and 65 points at x = 0..df*dg: the cached matrix serves up to
-    # VANDERMONDE_LIMIT of them.  Either way the result is the resultant
-    # at points it was not interpolated from.
-    assert (df * dg + 1 <= VANDERMONDE_LIMIT) == (path == "_inverse_vandermonde")
+    # 512 and 513 points at x = 0..df*dg: the cached matrix serves up to
+    # VANDERMONDE_BYTES of int64 entries, n^2 * 8 <= 2^21.  Either way the
+    # result is the resultant at points it was not interpolated from.
+    n = df * dg + 1
+    assert n == (512 if path == "_lagrange_matrix" else 513)
+    assert (8 * n * n <= VANDERMONDE_BYTES) == (path == "_lagrange_matrix")
     ctx = RESULTANT_FIELDS[1009]
     rng = RngStream(67, df)
     f, g = (
@@ -680,6 +756,18 @@ def test_resultant_on_each_side_of_the_vandermonde_limit(df, dg, path, monkeypat
     fc, gc = f.coeffs_in_last_var, g.coeffs_in_last_var
     for x in range(df * dg + 1, df * dg + 12):
         assert upoly_eval(res, x, ctx) == upoly_resultant(y_poly_at(fc, x, ctx), y_poly_at(gc, x, ctx), ctx)
+
+
+@pytest.mark.parametrize("p,n", [(1009, 1), (1009, 2), (1009, 10), (1009, 37), (1009, 64), (1009, 101),
+                                 (101, 101), (2**31 - 1, 2), (2**31 - 1, 37), (2**31 - 1, 101)])
+def test_lagrange_matrix_columns_are_the_lagrange_basis(p, n):
+    # column i interpolates the i-th unit vector at x = 0..n-1, the basis
+    # polynomial that lagrange_interpolate builds in Newton form
+    ctx = prime_field(p)
+    matrix = _lagrange_matrix(p, n)
+    assert matrix.shape == (n, n) and not matrix.flags.writeable
+    for i, column in enumerate(matrix.T.tolist()):
+        assert upoly_trim(column) == lagrange_interpolate(range(n), [int(i == j) for j in range(n)], ctx)
 
 
 def test_matmul_mod_reduces_each_term_past_int64():
@@ -793,6 +881,33 @@ def test_coeffs_in_last_var_is_computed_once_and_ignored_by_equality():
     assert f == fresh and hash(f) == hash(fresh)
     with pytest.raises(UsageError):
         P(3, [((1, 1, 1), 1)], c5).coeffs_in_last_var
+
+
+def _coeffs_in_last_var_reference(f):
+    """The Y-coefficient columns built from terms through dicts."""
+    degy = max((e[1] for e, _ in f.terms), default=-1)
+    cols = [dict() for _ in range(degy + 1)]
+    for (ex, ey), c in f.terms:
+        cols[ey][ex] = c
+    return tuple(upoly_trim([col.get(i, 0) for i in range(max(col, default=-1) + 1)]) for col in cols)
+
+
+def test_y_matrix_scatters_the_slot_row():
+    # rows of one block, of blocks of a larger maxdeg than the degree, the
+    # zero polynomial and a polynomial constant in Y, against the dict build
+    rng = RngStream(71, 0)
+    for q in (5, 1009, 256):
+        ctx = field_for_order(q)
+        for d in (1, 2, 3, 6):
+            polys = [random_poly(2, d, ctx, rng) for _ in range(3)]
+            polys += [MPoly.zero(2), P(2, [((d, 0), 1), ((0, 0), 2)], ctx)]
+            shared = polys_from_slots(2, d + 2, slot_array(polys, d + 2))
+            for f in polys + list(shared):
+                expected = _coeffs_in_last_var_reference(f)
+                assert f.coeffs_in_last_var == expected
+                mat = f.y_matrix
+                assert mat.shape[0] == len(expected) and not mat.flags.writeable
+                assert tuple(upoly_trim(row) for row in mat.tolist()) == expected
 
 
 def test_upoly_resultant_requires_positive_degrees():

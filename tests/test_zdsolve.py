@@ -14,8 +14,9 @@ from svsearch import zdsolve
 from svsearch.errors import CapacityError, UsageError
 from svsearch.ffield import LOG_TABLE_LIMIT, field_for_order, prime_field
 from svsearch.mc import records_to_csv, run_experiment
-from svsearch.mpoly import MPoly, monomials, polys_from_slots, resultant_y, slot_array
+from svsearch.mpoly import MPoly, monomials, polys_from_slots, rational_roots, resultant_y, slot_array
 from svsearch.sampler import RngStream
+from svsearch.upoly import upoly_mul
 from svsearch.zdsolve import (
     ZeroDimQuery,
     _GridEval,
@@ -343,6 +344,26 @@ def test_find_zero_digit_arithmetic_above_table_limit(q):
         find_zero(query)
     with pytest.raises(CapacityError):
         count_zeros(query)
+
+
+def test_exhaustive_s1_over_a_prime_above_the_log_table_limit():
+    # a prime field needs no log tables, so only an extension field above
+    # LOG_TABLE_LIMIT is refused: the s = 1 grid over GF(2^17 - 1) runs,
+    # and its zeros are the roots of f by splitting
+    ctx = prime_field(131071)
+    assert ctx.k == 1 and ctx.q > LOG_TABLE_LIMIT
+    rng = RngStream(41, 1)
+    roots = sorted({rng.next_below(ctx.q) for _ in range(3)})
+    f = (1,)
+    for root in roots:
+        f = upoly_mul(f, (ctx.neg(root), 1), ctx)
+    f = upoly_mul(f, (1, 0, 1), ctx)  # X^2 + 1: no root, as 131071 = 3 mod 4
+    query = ZeroDimQuery(ctx, 1, (P(1, [((e,), c) for e, c in enumerate(f)], ctx),), len(f) - 1)
+    assert sorted(rational_roots(f, ctx)) == roots
+    assert count_zeros(query) == len(roots)
+    assert find_zero(query) == (roots[0],)
+    rootless = ZeroDimQuery(ctx, 1, (P(1, [((0,), 1), ((2,), 1)], ctx),), 2)
+    assert count_zeros(rootless) == 0 and find_zero(rootless) is None
 
 
 def test_certificate_examples():
