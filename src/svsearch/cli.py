@@ -158,24 +158,36 @@ def cmd_solve(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    records, summary = run_experiment(
-        args.q,
-        args.r,
-        args.s,
-        args.d,
-        args.trials,
-        args.seed,
-        backend=args.backend,
-        want_certificates=args.certify,
-        hstar=args.hstar,
-        workers=args.workers,
-    )
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "trials.csv"), records_to_csv(records))
-    _atomic_write(
-        os.path.join(args.out, "summary.json"),
-        json.dumps(summary, indent=2) + "\n",
-    )
+    made, path = [], os.path.abspath(args.out)  # the directories --out adds, deepest first
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    try:
+        os.makedirs(args.out, exist_ok=True)  # before the trials, so a bad --out fails at once
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {args.out}: {exc}") from exc
+    try:
+        records, summary = run_experiment(
+            args.q,
+            args.r,
+            args.s,
+            args.d,
+            args.trials,
+            args.seed,
+            backend=args.backend,
+            want_certificates=args.certify,
+            hstar=args.hstar,
+            workers=args.workers,
+        )
+    except (UsageError, CapacityError):
+        for path in made:  # a run refused for its parameters leaves no directory behind
+            os.rmdir(path)
+        raise
+    try:
+        _atomic_write(os.path.join(args.out, "trials.csv"), records_to_csv(records))
+        _atomic_write(os.path.join(args.out, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write to output directory {args.out}: {exc}") from exc
     if summary["aborted"]:
         print(f"capacity: {summary['aborted']} of {args.trials} trials aborted", file=sys.stderr)
         return EXIT_CAPACITY

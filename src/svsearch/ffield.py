@@ -63,6 +63,16 @@ def _is_irreducible(f: tuple[int, ...], base: FieldCtx) -> bool:
     return True
 
 
+def _digits(a: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of a, least significant first; `FieldCtx._encode`
+    is the inverse."""
+    out = []
+    for _ in range(k):
+        a, c = divmod(a, p)
+        out.append(c)
+    return out
+
+
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree k over GF(p), by exhaustive scan.
 
@@ -78,12 +88,7 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
         raise UsageError(f"p={p} is not prime")
     base = FieldCtx(p)
     for n in range(p ** k):
-        tail = []
-        m = n
-        for _ in range(k):
-            tail.append(m % p)
-            m //= p
-        f = tuple(tail) + (1,)
+        f = (*_digits(n, p, k), 1)
         if f[0] == 0:
             continue
         if _is_irreducible(f, base):
@@ -183,16 +188,9 @@ class FieldCtx:
             raise UsageError(f"{a!r} is not an element of GF({self.p}^{self.k})")
         return a
 
-    def _digits(self, a: int) -> list[int]:
-        p, out = self.p, []
-        for _ in range(self.k):
-            a, c = divmod(a, p)
-            out.append(c)
-        return out
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Base-p digit vector (c0, ..., c_{k-1}) of an element."""
-        return tuple(self._digits(self.check(a)))
+        return tuple(_digits(self.check(a), self.p, self.k))
 
     def from_coeffs(self, cs) -> int:
         cs = list(cs)
@@ -212,21 +210,22 @@ class FieldCtx:
         instance dict, so equality and hashing still see only the dataclass
         fields.
         """
-        q = self.q
+        p, q = self.p, self.q
         if self.k == 1 or q > LOG_TABLE_LIMIT:
             return None
         order = q - 1
         primes = list(factor(order))
         g = next(g for g in range(2, q) if all(self._pow_raw(g, order // r) != 1 for r in primes))
         pm = self._packed_modulus  # walk the powers of g packed: one pm.mul a step
-        gen, power, exp = pm.pack(self._digits(g)), 1, [1]
+        gen, power, exp = pm.pack(_digits(g, p, self.k)), 1, [1]
         for _ in range(order - 1):
             power = pm.mul(power, gen)
             exp.append(self._encode(pm.coeffs(power)))
         log = [-1] * q
         for n, x in enumerate(exp):
             log[x] = n
-        zech = None if self.p == 2 else [log[self._add_raw(1, x)] for x in exp]
+        # 1 + x changes only the lowest base-p digit of x, x % p
+        zech = None if p == 2 else [log[x - x % p + (x + 1) % p] for x in exp]
         return LogTables(exp + exp, log, zech)
 
     @cached_property
@@ -303,13 +302,8 @@ class FieldCtx:
 
     def _add_raw(self, a: int, b: int, sign: int = 1) -> int:
         """a + sign * b, digit by digit."""
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.k):
-            out += (a % p + sign * (b % p)) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        p, k = self.p, self.k
+        return self._encode([(x + sign * y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))])
 
     def _sub_raw(self, a: int, b: int) -> int:
         return self._add_raw(a, b, -1)
@@ -320,10 +314,11 @@ class FieldCtx:
 
     def _mul_raw(self, a: int, b: int) -> int:
         pm = self._packed_modulus
-        return self._encode(pm.coeffs(pm.mul(pm.pack(self._digits(a)), pm.pack(self._digits(b)))))
+        p, k = self.p, self.k
+        return self._encode(pm.coeffs(pm.mul(pm.pack(_digits(a, p, k)), pm.pack(_digits(b, p, k)))))
 
     def _pow_raw(self, a: int, e: int) -> int:
-        return self._encode(self._packed_modulus.pow(self._digits(a), e))
+        return self._encode(self._packed_modulus.pow(_digits(a, self.p, self.k), e))
 
     def add(self, a: int, b: int) -> int:
         return self.ops.add(self.check(a), self.check(b))

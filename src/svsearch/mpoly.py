@@ -129,31 +129,34 @@ def _row(point, maxdeg: int, mul) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _split_plan(nvars: int, m: int, maxdeg: int) -> dict[ExpVec, tuple[int, int]]:
-    """(head slot, tail slot) of every exponent vector of degree <= maxdeg,
-    in `monomials(nvars, maxdeg)` order: the slot of its first m exponents
-    in `monomials(m, maxdeg)` and of the rest in `monomials(nvars - m, maxdeg)`."""
+def _split_plan(nvars: int, m: int, maxdeg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only intp arrays of the head slot and the tail slot of every slot
+    of `monomials(nvars, maxdeg)`: the slot of its first m exponents in
+    `monomials(m, maxdeg)` and of the rest in `monomials(nvars - m, maxdeg)`."""
     heads = {e: i for i, e in enumerate(monomials(m, maxdeg))}
     tails = {e: i for i, e in enumerate(monomials(nvars - m, maxdeg))}
-    return {e: (heads[e[:m]], tails[e[m:]]) for e in monomials(nvars, maxdeg)}
+    plan = np.array([(heads[e[:m]], tails[e[m:]]) for e in monomials(nvars, maxdeg)], dtype=np.intp).T.copy()
+    plan.flags.writeable = False  # a shared cache entry
+    return plan[0], plan[1]
 
 
 @lru_cache(maxsize=None)
-def _gather_plan(nvars: int, m: int, maxdeg: int, rows: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """`_split_plan` as arrays for `rows` stacked slot rows: the head slot
-    of every slot, the bincount bin (row * tails + tail slot) of every
-    entry, and the tail count."""
-    split = np.array(list(_split_plan(nvars, m, maxdeg).values()), dtype=np.intp).reshape(-1, 2)
+def _gather_plan(nvars: int, m: int, maxdeg: int, rows: int) -> np.ndarray:
+    """The bincount bin (row * tails + tail slot, by `_split_plan`) of
+    every entry of `rows` stacked slot rows."""
     ntails = len(monomials(nvars - m, maxdeg))
-    bins = (split[:, 1] + ntails * np.arange(rows)[:, None]).ravel()
-    return split[:, 0], bins, ntails
+    return (_split_plan(nvars, m, maxdeg)[1] + ntails * np.arange(rows)[:, None]).ravel()
 
 
-@lru_cache(maxsize=None)
-def _y_plan(maxdeg: int) -> np.ndarray:
-    """The flat cell j * (maxdeg + 1) + i of every slot X^i Y^j of
-    `monomials(2, maxdeg)`."""
-    return np.array([j * (maxdeg + 1) + i for i, j in monomials(2, maxdeg)], dtype=np.intp)
+def cell_array(slots: np.ndarray, nvars: int, maxdeg: int) -> np.ndarray:
+    """Each row of slots (by slot of `monomials(nvars, maxdeg)`) as a new
+    C-contiguous H x (maxdeg + 1) matrix, each coefficient at its [head
+    slot, tail slot] of `_split_plan(nvars, nvars - 1, maxdeg)`: row h for
+    the head `monomials(nvars - 1, maxdeg)[h]`, column t for x_last^(maxdeg - t)."""
+    heads, tails = _split_plan(nvars, nvars - 1, maxdeg)
+    cells = np.zeros((len(slots), len(monomials(nvars - 1, maxdeg)), maxdeg + 1), dtype=slots.dtype)
+    cells[:, heads, tails] = slots
+    return cells
 
 
 def _int_array(rows) -> np.ndarray:
@@ -169,30 +172,28 @@ class _SlotBlock:
     array (int64, or Python ints past 2^63): a row per polynomial, by slot
     of `monomials(nvars, maxdeg)`.
 
-    An MPoly is a row: it keeps (block, row index) in `_slots`.
+    An MPoly is a row: it keeps (block, row index) in `_slots`.  `cells`
+    is the block's `cell_array`, scattered once for all its rows.
     `at` substitutes the whole block at a point and keeps the last result,
     since a system's polynomials ask for it one after the other.  The
     point, field and result are swapped in as one tuple, so threads that
     race on a block at most repeat a substitution.
     """
 
-    __slots__ = ("nvars", "maxdeg", "coeffs", "_last", "_ymats")
+    __slots__ = ("nvars", "maxdeg", "coeffs", "_last", "_cells")
 
     def __init__(self, nvars: int, maxdeg: int, coeffs: np.ndarray) -> None:
         coeffs.flags.writeable = False
         self.nvars, self.maxdeg, self.coeffs = nvars, maxdeg, coeffs
-        self._last = self._ymats = None
+        self._last = self._cells = None
 
-    def y_matrices(self) -> np.ndarray:
-        """For 2 variables: every row as a (maxdeg + 1)^2 matrix, the
-        coefficient of X^i Y^j at [j, i], scattered once for the block."""
-        if self._ymats is None:
-            side = self.maxdeg + 1
-            mats = np.zeros((len(self.coeffs), side * side), dtype=self.coeffs.dtype)
-            mats[:, _y_plan(self.maxdeg)] = self.coeffs
-            mats.flags.writeable = False  # shared by the block's rows
-            self._ymats = mats.reshape(-1, side, side)
-        return self._ymats
+    def cells(self) -> np.ndarray:
+        """`cell_array` of the block, read-only and shared by its rows."""
+        if self._cells is None:
+            cells = cell_array(self.coeffs, self.nvars, self.maxdeg)
+            cells.flags.writeable = False  # before another thread can see it
+            self._cells = cells
+        return self._cells
 
     def at(self, a: tuple[int, ...], ctx: FieldCtx) -> tuple:
         """Every polynomial of the block with its first len(a) variables
@@ -250,15 +251,15 @@ def _substitute_block(block: _SlotBlock, a: tuple[int, ...], ctx: FieldCtx) -> n
     nvars, m, maxdeg = block.nvars, len(a), block.maxdeg
     head = _row(a, maxdeg, ctx.ops.mul)
     rows = len(block.coeffs)
+    heads, tails = _split_plan(nvars, m, maxdeg)
+    ntails = len(monomials(nvars - m, maxdeg))
     if ctx.k == 1:
-        heads, bins, ntails = _gather_plan(nvars, m, maxdeg, rows)
         prod = block.coeffs * np.array(head, dtype=np.int64)[heads]
         prod %= ctx.p
-        sums = np.bincount(bins, weights=prod.ravel(), minlength=rows * ntails)
+        sums = np.bincount(_gather_plan(nvars, m, maxdeg, rows), weights=prod.ravel(), minlength=rows * ntails)
         return sums.astype(np.int64).reshape(rows, ntails) % ctx.p
     add, mul = ctx.ops.add, ctx.ops.mul
-    split = tuple(_split_plan(nvars, m, maxdeg).values())
-    ntails = len(monomials(nvars - m, maxdeg))
+    split = tuple(zip(heads.tolist(), tails.tolist()))
     out = []
     for coeffs in block.coeffs.tolist():
         acc = [0] * ntails
@@ -363,26 +364,16 @@ class MPoly:
     @cached_property
     def y_matrix(self) -> np.ndarray:
         """For a 2-variable polynomial: the coefficient of X^i Y^j at [j, i],
-        one row per power of Y up to the Y-degree (no rows when zero)."""
+        one row per power of Y up to the Y-degree (no rows when zero): the
+        block's `cells` row, reversed on both axes and transposed."""
         if self.nvars != 2:
-            raise UsageError("y_matrix and coeffs_in_last_var expect a bivariate polynomial")
+            raise UsageError("y_matrix expects a bivariate polynomial")
         block, i = self._slots
-        mat = block.y_matrices()[i]
+        mat = block.cells()[i, ::-1, ::-1].T
         rows = len(mat)
         while rows and not mat[rows - 1].any():
             rows -= 1
         return mat[:rows]
-
-    @cached_property
-    def coeffs_in_last_var(self) -> tuple[UPoly, ...]:
-        """For a 2-variable polynomial: the coefficient of each power Y^j
-        as a univariate polynomial in X, indexed by j (the rows of
-        `y_matrix`, trimmed).
-
-        Computed once per polynomial, since the certificate, the resultant
-        and the resultant backend all read it on a strip.
-        """
-        return tuple(map(upoly_trim, self.y_matrix.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +497,10 @@ def lift_with_embedding(ctx: FieldCtx, e: int):
     return (ext, table.__getitem__, unembed)
 
 
-def y_poly_at(fc: tuple[UPoly, ...], x: int, ctx: FieldCtx) -> UPoly:
-    """f(x, Y) as a polynomial in Y, from f's `coeffs_in_last_var` fc, at
-    f's formal Y-degree: untrimmed, its top coefficients may be 0."""
-    return tuple(upoly_eval(cj, x, ctx) for cj in fc)
+def y_poly_at(rows: list[list[int]], x: int, ctx: FieldCtx) -> UPoly:
+    """f(x, Y) as a polynomial in Y, from the rows of f's `y_matrix` as
+    lists, at f's formal Y-degree: its top coefficients may be 0."""
+    return tuple(upoly_eval(row, x, ctx) for row in rows)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -657,22 +648,22 @@ def resultant_y(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly:
         raise UsageError("resultant_y expects bivariate polynomials")
     if f.is_zero() or g.is_zero():
         raise UsageError("resultant_y expects nonzero polynomials")
-    fc = f.coeffs_in_last_var
-    gc = g.coeffs_in_last_var
-    if len(fc) < 2 and len(gc) < 2:
+    fm, gm = f.y_matrix, g.y_matrix
+    if len(fm) < 2 and len(gm) < 2:
         raise UsageError("one polynomial must have positive degree in Y")
     bound = f.degree * g.degree
     if ctx.k == 1 and ctx.q > bound:
-        return _resultant_y_lanes(f.y_matrix, g.y_matrix, bound, ctx)
+        return _resultant_y_lanes(fm, gm, bound, ctx)
 
     work = ctx
+    fc, gc = fm.tolist(), gm.tolist()
     if ctx.q <= bound:
         e = 2
         while ctx.q ** e <= bound:
             e += 1
         work, embed, unembed = lift_with_embedding(ctx, e)
-        fc = [tuple(embed(c) for c in cj) for cj in fc]
-        gc = [tuple(embed(c) for c in cj) for cj in gc]
+        fc = [list(map(embed, row)) for row in fc]
+        gc = [list(map(embed, row)) for row in gc]
 
     ys = [upoly_resultant(y_poly_at(fc, x, work), y_poly_at(gc, x, work), work) for x in range(bound + 1)]
     res = lagrange_interpolate(range(bound + 1), ys, work)

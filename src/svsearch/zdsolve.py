@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx, factor
-from .mpoly import (MPoly, _power_table, check_polys, lift_with_embedding, monomials, polys_from_slots, rational_roots,
-                    resultant_y, slot_array, y_poly_at)
+from .mpoly import (MPoly, _power_table, cell_array, check_polys, lift_with_embedding, monomials, polys_from_slots,
+                    rational_roots, resultant_y, slot_array, y_poly_at)
 from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked, upoly_trim
 
 GRID_LIMIT = 1 << 24
@@ -81,11 +81,12 @@ class _GridEval:
     A cell is (prefix, x): prefix is its first s-1 coordinates, with
     row-major index in [0, q^(s-1)), and the cell's flat index is
     prefix*q + x.  Grouping terms by their head, the exponents of the
-    prefix, f = sum over heads h of prefix^h * line_h(x).  `head` holds
-    prefix^h at every prefix (q^(s-1) x H), with the constant head 1
-    first.  Every line_h at every x (H x q) comes from `slot_lines`, for
-    all polynomials at once.  A slab is `rows` whole lines, about 2^17
-    cells over GF(p) and 2^14 in the log domain.
+    prefix, f = sum over heads h of prefix^h * line_h(x), the heads in
+    `mpoly.cell_array` order (the constant head 1 last).  `head` holds
+    prefix^h at every prefix (q^(s-1) x H).  Every line_h at every x
+    (H x q) comes from `slot_lines`, for all polynomials at once: their
+    cell arrays times `tab`, row t for x^(maxdeg - t).  A slab is `rows`
+    whole lines, about 2^17 cells over GF(p) and 2^14 in the log domain.
 
     Over GF(p) both are balanced residues, at most b = p // 2 in size, in
     the float type `_exact_float` picks, with m significand bits; T is
@@ -112,9 +113,8 @@ class _GridEval:
 
     def __init__(self, ctx: FieldCtx, s: int, maxdeg: int) -> None:
         q = self.q = ctx.q
-        self.p, self.prime = ctx.p, ctx.k == 1
-        heads = sorted(monomials(s - 1, maxdeg), key=any)  # the constant head first
-        self.heads = {h: i for i, h in enumerate(heads)}
+        self.p, self.prime, self.s, self.maxdeg = ctx.p, ctx.k == 1, s, maxdeg
+        heads = monomials(s - 1, maxdeg)
         self.rows = max(1, min(q ** (s - 1), (1 << (17 if self.prime else 14)) // q))
         if self.prime:
             dtype = self.dtype = _exact_float(ctx.p, len(heads))
@@ -125,12 +125,12 @@ class _GridEval:
             # (x + half) mod p - half is x balanced; (p - 1) // 2 keeps 1 at 1 for p = 2
             self.half = (ctx.p - 1) // 2
             self._shift = np.full((len(heads), 1), -self.half, dtype=np.int64)
-            self._shift[0] += self.beta  # the bias rides on head 1's line
+            self._shift[-1] += self.beta  # the bias rides on head 1's line
             self.p_inv = bits.type(pow(ctx.p, -1, 1 << width) if ctx.p % 2 else 1 << (width - 1))
             self.p_most = bits.type(((1 << width) - 1) // ctx.p if ctx.p % 2 else 0)
             self._vals = np.empty(self.rows * q, dtype=dtype)
             self._mask = np.empty(self.rows * q, dtype=bool)
-            self.tab = _power_table(ctx.p, maxdeg + 1, q)  # x^e
+            self.tab = _power_table(ctx.p, maxdeg + 1, q)[::-1].copy()  # x^(maxdeg - t)
         else:
             tabs = ctx.log_tables
             order = q - 1
@@ -140,21 +140,18 @@ class _GridEval:
             self.exp[:zero] = np.tile(tabs.exp[:order], span)
             self.log = np.array(tabs.log, dtype=np.int64)
             self.log[0] = zero
-            self.tab = np.outer(np.arange(maxdeg + 1), self.log) % order  # log of x^e
-            self.tab[1:, 0] = zero
+            self.tab = np.outer(np.arange(maxdeg, -1, -1), self.log) % order  # log of x^(maxdeg - t)
+            self.tab[:-1, 0] = zero
             if ctx.p != 2:
                 # zech[n] = log(1 + g^n) for every n in [0, 2*zero], so that
                 # zech[lb - la + zero] needs no reduction mod q - 1
                 self.zech = np.tile(np.array(tabs.zech, dtype=np.int64), 2 * span + 1)
                 self.zech[self.zech < 0] = zero
-        # the (head, last exponent) cell of every slot of monomials(s, maxdeg)
-        cells = [(self.heads[e[:-1]], e[-1]) for e in monomials(s, maxdeg)]
-        self._slot_cells = tuple(np.array(cells, dtype=np.intp).T)
         # prefix^h at every prefix, one coordinate at a time (H x q^axis)
-        exps = np.array(heads, dtype=np.int64).reshape(len(heads), s - 1)
+        tab_rows = maxdeg - np.array(heads, dtype=np.int64).reshape(len(heads), s - 1)
         head = np.full((len(heads), 1), int(self.prime), dtype=np.int64)  # 1, or its log 0
         for axis in range(s - 1):
-            factor = self.tab[exps[:, axis]][:, None, :]
+            factor = self.tab[tab_rows[:, axis]][:, None, :]
             head = head[:, :, None] * factor % ctx.p if self.prime else head[:, :, None] + factor
             head = head.reshape(len(heads), -1)
         self.head = ((head.T + self.half) % ctx.p - self.half).astype(self.dtype) if self.prime else head.T
@@ -174,14 +171,13 @@ class _GridEval:
         `monomials(s, maxdeg)`) for every head h and every x, as an
         n x H x q array: balanced residues, beta added to head 1's line,
         over GF(p), logs over GF(p^k)."""
-        cmat = np.zeros((len(slots), len(self.heads), len(self.tab)), dtype=np.int64)
-        cmat[(slice(None), *self._slot_cells)] = slots
+        cmat = cell_array(slots, self.s, self.maxdeg)
         if self.prime:
             lines = cmat @ self.tab + self.half
             lines %= self.p
             lines += self._shift
             return lines.astype(self.dtype)
-        # the sum over the last exponent e of c * x^e, with the e axis first
+        # the sum over the tail slots t of c * x^(maxdeg - t), with the t axis first
         logs = self.log[cmat].transpose(2, 0, 1)[..., None]
         tab = self.tab[:, None, None, :]
         return self.log[self._log_sum(self.exp[logs[0] + tab[0]], logs[1:], tab[1:])]
@@ -198,8 +194,8 @@ class _GridEval:
             out = self._vals[: (hi - lo) * self.q].reshape(hi - lo, self.q)
             return np.matmul(self.head[lo:hi], lines, out=out)
         # head 1 has log 0, so its group is the line itself
-        first = np.tile(self.exp[lines[0]], (hi - lo, 1))
-        return self._log_sum(first, self.head[lo:hi, 1:].T[:, :, None], lines[1:, None, :])
+        first = np.tile(self.exp[lines[-1]], (hi - lo, 1))
+        return self._log_sum(first, self.head[lo:hi, :-1].T[:, :, None], lines[:-1, None, :])
 
     def at(self, lines: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Values at the given flat cell indices."""
@@ -207,7 +203,7 @@ class _GridEval:
         heads, lines = self.head[prefix].T, lines[:, x]
         if self.prime:
             return (heads * lines).sum(axis=0)
-        return self._log_sum(self.exp[lines[0]], heads[1:], lines[1:])
+        return self._log_sum(self.exp[lines[-1]], heads[:-1], lines[:-1])
 
     def zero(self, vals: np.ndarray) -> np.ndarray:
         """Mask of the values (at most a slab) that are 0 in the field,
@@ -271,7 +267,7 @@ def resultant_y_general(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly | None:
     """
     if f.is_zero() or g.is_zero():
         return ()
-    if len(f.coeffs_in_last_var) == 1 and len(g.coeffs_in_last_var) == 1:
+    if len(f.y_matrix) == 1 and len(g.y_matrix) == 1:
         return None
     return resultant_y(f, g, ctx)
 
@@ -289,8 +285,8 @@ def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
     """
     ctx = query.ctx
     f, g = query.polys
-    fc, gc = f.coeffs_in_last_var, g.coeffs_in_last_var  # () for a zero polynomial
-    res = fc[0] if query._resultant is None else query._resultant
+    fc, gc = f.y_matrix.tolist(), g.y_matrix.tolist()  # [] for a zero polynomial
+    res = upoly_trim(fc[0]) if query._resultant is None else query._resultant
     if not res:
         xs = ctx.elements()
     else:
@@ -368,7 +364,7 @@ def cond_h_certificate(query: ZeroDimQuery) -> CertResult:
     deg = upoly_deg(res)
     sqfree = is_squarefree(res, ctx)
     # each positive in Y with a constant leading Y-coefficient
-    gate = all(len(c) > 1 and upoly_deg(c[-1]) == 0 for c in (f.coeffs_in_last_var, g.coeffs_in_last_var))
+    gate = all(len(m) > 1 and not m[-1, 1:].any() for m in (f.y_matrix, g.y_matrix))
     verdict = "certified" if (gate and deg == d * d and sqfree) else "not_certified"
     return CertResult(verdict, deg, sqfree)
 

@@ -225,13 +225,41 @@ def test_experiment_nonpositive_hstar_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_experiment_nonpositive_workers_usage_error(capsys, tmp_path, workers):
-    out_dir = tmp_path / "out"
+    out_dir = tmp_path / "out" / "run"
     code, _, err = run_cli(
         capsys, "experiment", "--q", "5", "--r", "3", "--s", "2", "--d", "2",
         "--trials", "2", "--seed", "0", "--workers", workers, "--out", str(out_dir),
     )
     assert code == 2 and err.startswith("error:")
-    assert not out_dir.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_unusable_out_is_usage_error_before_any_trial(capsys, tmp_path):
+    # a path below a file cannot be made a directory: refused before run_experiment
+    (tmp_path / "a_file").write_text("")
+    calls = []
+    with patch("svsearch.cli.run_experiment", side_effect=lambda *a, **k: calls.append(a)):
+        code, out, err = run_cli(
+            capsys, "experiment", "--q", "5", "--r", "3", "--s", "2", "--d", "2",
+            "--trials", "2", "--seed", "0", "--out", str(tmp_path / "a_file" / "sub"),
+        )
+    assert code == 2 and out == "" and not calls
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_experiment_failed_write_leaves_no_temporary_file(capsys, tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr("os.replace", fail)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "experiment", "--q", "5", "--r", "3", "--s", "2", "--d", "2",
+        "--trials", "2", "--seed", "0", "--out", str(out_dir),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert out_dir.is_dir() and list(out_dir.iterdir()) == []
 
 
 def test_experiment_aborted_trials_exit_with_one_capacity_line(capsys, tmp_path):

@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from svsearch import mpoly
-from svsearch.errors import DomainError, UsageError
+from svsearch.errors import CapacityError, DomainError, UsageError
 from svsearch.ffield import LOG_TABLE_LIMIT, FieldCtx, field_for_order, prime_field
 from svsearch.mpoly import (
     ROOT_SCAN_CELLS,
@@ -50,6 +52,12 @@ def P(nvars, terms, ctx):
 def random_poly(nvars, d, ctx, rng):
     exps = monomials(nvars, d)
     return P(nvars, [(e, rng.next_below(ctx.q)) for e in exps], ctx)
+
+
+def y_coeffs(f):
+    """The coefficient of each power of Y as a polynomial in X: the rows
+    of f's `y_matrix`, trimmed; () for the zero polynomial."""
+    return tuple(upoly_trim(row) for row in f.y_matrix.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +570,8 @@ def test_resultant_usage_errors():
 def _sylvester_symbolic(f, g, ctx):
     """Slow oracle: the Sylvester determinant with polynomial entries,
     expanded by cofactors."""
-    fc = f.coeffs_in_last_var
-    gc = g.coeffs_in_last_var
+    fc = y_coeffs(f)
+    gc = y_coeffs(g)
     n, m = len(fc) - 1, len(gc) - 1
     size = n + m
     rows = []
@@ -598,8 +606,8 @@ def test_resultant_matches_symbolic_sylvester():
         while trials < 12:
             f = random_poly(2, d, ctx, rng)
             g = random_poly(2, d, ctx, rng)
-            fc = f.coeffs_in_last_var if not f.is_zero() else []
-            gc = g.coeffs_in_last_var if not g.is_zero() else []
+            fc = y_coeffs(f)
+            gc = y_coeffs(g)
             if not fc or not gc or len(fc) == len(gc) == 1:
                 continue
             trials += 1
@@ -642,7 +650,7 @@ def bivariate_pairs(draw):
     else:
         g_items = items(draw(st.integers(1, 3)))
     f, g = MPoly.from_terms(2, f_items, ctx), MPoly.from_terms(2, g_items, ctx)
-    assume(len(f.coeffs_in_last_var) > 1 and len(g.coeffs_in_last_var) > 1)
+    assume(len(f.y_matrix) > 1 and len(g.y_matrix) > 1)
     return ctx, f, g
 
 
@@ -753,7 +761,7 @@ def test_resultant_on_each_side_of_the_vandermonde_limit(df, dg, path, monkeypat
     monkeypatch.setattr(mpoly, path, lambda *args: calls.append(args) or original(*args))
     res = resultant_y(f, g, ctx)
     assert calls and upoly_deg(res) <= df * dg
-    fc, gc = f.coeffs_in_last_var, g.coeffs_in_last_var
+    fc, gc = f.y_matrix.tolist(), g.y_matrix.tolist()
     for x in range(df * dg + 1, df * dg + 12):
         assert upoly_eval(res, x, ctx) == upoly_resultant(y_poly_at(fc, x, ctx), y_poly_at(gc, x, ctx), ctx)
 
@@ -818,8 +826,8 @@ def test_resultant_vanishes_iff_shared_root_or_lc_collapse():
             g = random_poly(2, 2, ctx, rng)
             if f.is_zero() or g.is_zero():
                 continue
-            fc = f.coeffs_in_last_var
-            gc = g.coeffs_in_last_var
+            fc = y_coeffs(f)
+            gc = y_coeffs(g)
             if len(fc) - 1 < 1 or len(gc) - 1 < 1:
                 continue
             res = resultant_y(f, g, ctx)
@@ -870,20 +878,30 @@ def test_lift_round_trips_every_base_element(q, e):
             assert embed(ctx.mul(a, b)) == ops.mul(embed(a), embed(b))
 
 
-def test_coeffs_in_last_var_is_computed_once_and_ignored_by_equality():
+def test_lift_refuses_a_base_past_the_table_limit_within_a_second():
+    # GF(2^17) squared would be GF(2^34): refused before that field is built
+    ctx = field_for_order(2**17)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        lift_with_embedding(ctx, 2)
+    assert time.perf_counter() - start < 1
+
+
+def test_y_matrix_is_computed_once_and_ignored_by_equality():
     c5 = prime_field(5)
     terms = [((2, 1), 3), ((0, 2), 1), ((1, 0), 4)]
     f = P(2, terms, c5)
-    fc = f.coeffs_in_last_var
-    assert fc == ((0, 4), (0, 0, 3), (1,))
-    assert f.coeffs_in_last_var is fc
+    fm = f.y_matrix
+    assert fm.tolist() == [[0, 4, 0, 0], [0, 0, 3, 0], [1, 0, 0, 0]]
+    assert y_coeffs(f) == ((0, 4), (0, 0, 3), (1,))
+    assert f.y_matrix is fm
     fresh = P(2, terms, c5)
     assert f == fresh and hash(f) == hash(fresh)
     with pytest.raises(UsageError):
-        P(3, [((1, 1, 1), 1)], c5).coeffs_in_last_var
+        P(3, [((1, 1, 1), 1)], c5).y_matrix
 
 
-def _coeffs_in_last_var_reference(f):
+def _y_coeffs_reference(f):
     """The Y-coefficient columns built from terms through dicts."""
     degy = max((e[1] for e, _ in f.terms), default=-1)
     cols = [dict() for _ in range(degy + 1)]
@@ -903,11 +921,28 @@ def test_y_matrix_scatters_the_slot_row():
             polys += [MPoly.zero(2), P(2, [((d, 0), 1), ((0, 0), 2)], ctx)]
             shared = polys_from_slots(2, d + 2, slot_array(polys, d + 2))
             for f in polys + list(shared):
-                expected = _coeffs_in_last_var_reference(f)
-                assert f.coeffs_in_last_var == expected
+                expected = _y_coeffs_reference(f)
                 mat = f.y_matrix
                 assert mat.shape[0] == len(expected) and not mat.flags.writeable
                 assert tuple(upoly_trim(row) for row in mat.tolist()) == expected
+
+
+def test_cell_array_groups_slots_by_the_last_variable():
+    # the coefficient of x^e at [slot of e[:-1] in monomials(nvars - 1, d),
+    # d - e[-1]], in a new C-contiguous array
+    rng = RngStream(73, 0)
+    ctx = field_for_order(31)
+    for nvars, d in ((1, 3), (2, 2), (3, 3)):
+        polys = [random_poly(nvars, d, ctx, rng) for _ in range(2)]
+        slots = slot_array(polys, d)
+        cells = mpoly.cell_array(slots, nvars, d)
+        heads = {h: i for i, h in enumerate(monomials(nvars - 1, d))}
+        assert cells.shape == (2, len(heads), d + 1) and cells.flags.c_contiguous
+        for f, mat in zip(polys, cells.tolist()):
+            expected = [[0] * (d + 1) for _ in heads]
+            for e, c in f.terms:
+                expected[heads[e[:-1]]][d - e[-1]] = c
+            assert mat == expected
 
 
 def test_upoly_resultant_requires_positive_degrees():
@@ -937,8 +972,8 @@ def test_resultant_root_criterion_matches_extension_scan():
             g = random_poly(2, 2, ctx, rng)
             if f.is_zero() or g.is_zero():
                 continue
-            fc = f.coeffs_in_last_var
-            gc = g.coeffs_in_last_var
+            fc = y_coeffs(f)
+            gc = y_coeffs(g)
             if len(fc) - 1 < 1 or len(gc) - 1 < 1:
                 continue
             checked += 1
