@@ -17,7 +17,7 @@ import tempfile
 from .errors import CapacityError, DomainError, UsageError
 from .ffield import FieldCtx, field_for_order
 from .mpoly import MPoly
-from .mc import exhaustive_p1, exhaustive_sk, records_to_csv, run_experiment
+from .mc import check_experiment, exhaustive_p1, exhaustive_sk, records_to_csv, run_experiment
 from .sampler import RngStream, SystemSpec, check_strips, sample_system
 from .svs import run_svs
 from .theory import theory_report
@@ -158,31 +158,24 @@ def cmd_solve(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    made, path = [], os.path.abspath(args.out)  # the directories --out adds, deepest first
-    while not os.path.lexists(path):
-        made.append(path)
-        path = os.path.dirname(path)
+    # run_experiment's own checks, first, so that a refused run leaves no directory
+    check_experiment(args.q, args.r, args.s, args.d, args.trials, args.backend, args.hstar, args.workers)
     try:
         os.makedirs(args.out, exist_ok=True)  # before the trials, so a bad --out fails at once
     except OSError as exc:
         raise UsageError(f"cannot create output directory {args.out}: {exc}") from exc
-    try:
-        records, summary = run_experiment(
-            args.q,
-            args.r,
-            args.s,
-            args.d,
-            args.trials,
-            args.seed,
-            backend=args.backend,
-            want_certificates=args.certify,
-            hstar=args.hstar,
-            workers=args.workers,
-        )
-    except (UsageError, CapacityError):
-        for path in made:  # a run refused for its parameters leaves no directory behind
-            os.rmdir(path)
-        raise
+    records, summary = run_experiment(
+        args.q,
+        args.r,
+        args.s,
+        args.d,
+        args.trials,
+        args.seed,
+        backend=args.backend,
+        want_certificates=args.certify,
+        hstar=args.hstar,
+        workers=args.workers,
+    )
     try:
         _atomic_write(os.path.join(args.out, "trials.csv"), records_to_csv(records))
         _atomic_write(os.path.join(args.out, "summary.json"), json.dumps(summary, indent=2) + "\n")

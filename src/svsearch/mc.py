@@ -15,6 +15,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 
 from .errors import CapacityError, UsageError
@@ -103,40 +104,20 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 # one trial
 
 
-def _run_trial(args: tuple) -> TrialRecord:
-    (trial_id, seed, ctx, r, s, d, hstar, backend, want_certificates) = args
+def _run_trial(
+    seed: int, ctx: FieldCtx, r: int, s: int, d: int, hstar: int, backend: str, certify: bool, trial_id: int
+) -> TrialRecord:
+    """Trial trial_id of an experiment; a capacity limit hit inside it makes an aborted record."""
     rng = RngStream(seed, trial_id)
     system = sample_system(ctx, r, s, d, rng)
     try:
-        outcome = run_svs(
-            system,
-            rng=rng,
-            backend=backend,
-            hstar=hstar,
-            certify=want_certificates and s == 2,
-        )
+        outcome = run_svs(system, rng=rng, backend=backend, hstar=hstar, certify=certify)
     except CapacityError:
-        return TrialRecord(
-            trial_id, seed, ctx.q, r, s, d, hstar, backend, "aborted", None, "", (), 0
-        )
-    cert = ""
-    if outcome.certificates:
-        cert = outcome.certificates[0].verdict  # first strip: one-shot rate
-    return TrialRecord(
-        trial_id,
-        seed,
-        ctx.q,
-        r,
-        s,
-        d,
-        hstar,
-        backend,
-        outcome.status,
-        outcome.strip_index,
-        cert,
-        outcome.strips,
-        0,
-    )
+        status, index, cert, strips = "aborted", None, "", ()
+    else:
+        status, index, strips = outcome.status, outcome.strip_index, outcome.strips
+        cert = outcome.certificates[0].verdict if outcome.certificates else ""  # first strip: one-shot rate
+    return TrialRecord(trial_id, seed, ctx.q, r, s, d, hstar, backend, status, index, cert, strips, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +170,26 @@ def _comparison(name: str, count: int, n: int, interval: BoundInterval) -> dict:
 # experiments
 
 
+def check_experiment(
+    q: int, r: int, s: int, d: int, n_trials: int, backend: str, hstar: int | None, workers: int
+) -> tuple[FieldCtx, int]:
+    """Every check `run_experiment` makes before its first trial; returns
+    the field and the strip budget (default r - s + 1).  Once these pass,
+    the experiment raises nothing: a capacity limit inside a trial is an
+    aborted record."""
+    if n_trials < 1:
+        raise UsageError("need at least one trial")
+    if workers < 1:
+        raise UsageError(f"need at least one worker, got {workers}")
+    check_shape(r, s, d)
+    check_slots(r, d)
+    ctx = field_for_order(q)
+    hstar = hstar if hstar is not None else r - s + 1
+    check_strip_budget(hstar, r - s, ctx)
+    check_backend(backend, s)
+    return ctx, hstar
+
+
 def run_experiment(
     q: int,
     r: int,
@@ -209,24 +210,16 @@ def run_experiment(
     clamped to the trial count and the CPU count; with one left, the
     trials run in this process and no pool is built.
     """
-    if n_trials < 1:
-        raise UsageError("need at least one trial")
-    if workers < 1:
-        raise UsageError(f"need at least one worker, got {workers}")
-    check_shape(r, s, d)
-    check_slots(r, d)
-    ctx = field_for_order(q)
-    hstar = hstar if hstar is not None else r - s + 1
-    check_strip_budget(hstar, r - s, ctx)
-    check_backend(backend, s)
+    ctx, hstar = check_experiment(q, r, s, d, n_trials, backend, hstar, workers)
     workers = min(workers, n_trials, os.cpu_count() or 1)  # records do not depend on the count
     t0 = time.monotonic()
-    jobs = [(trial_offset + t, seed, ctx, r, s, d, hstar, backend, want_certificates) for t in range(n_trials)]
+    trial = partial(_run_trial, seed, ctx, r, s, d, hstar, backend, want_certificates and s == 2)
+    trial_ids = range(trial_offset, trial_offset + n_trials)
     if workers > 1:
         with Pool(workers) as pool:
-            records = pool.map(_run_trial, jobs, chunksize=max(1, n_trials // (4 * workers)))
+            records = pool.map(trial, trial_ids, chunksize=max(1, n_trials // (4 * workers)))
     else:
-        records = [_run_trial(job) for job in jobs]
+        records = list(map(trial, trial_ids))
     elapsed = time.monotonic() - t0
     summary = summarize(records, q, r, s, d, seed, backend, want_certificates, hstar, elapsed)
     return records, summary

@@ -9,7 +9,7 @@ byte-for-byte after serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import UsageError
 from .sampler import RngStream, Strip, SystemSpec, check_strips, sample_strips
@@ -56,14 +56,7 @@ class SolveOutcome:
             "hstar": self.hstar,
         }
         if self.certificates is not None:
-            doc["certificates"] = [
-                {
-                    "verdict": c.verdict,
-                    "resultant_degree": c.resultant_degree,
-                    "squarefree": c.squarefree,
-                }
-                for c in self.certificates
-            ]
+            doc["certificates"] = [asdict(c) for c in self.certificates]
         return doc
 
 

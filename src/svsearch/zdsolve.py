@@ -11,7 +11,7 @@ extension fields.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -249,12 +249,12 @@ def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
 # resultant backend (s = 2)
 
 
-def _common_y_roots(fx: UPoly, gx: UPoly, ctx: FieldCtx) -> list[int]:
-    fx, gx = upoly_trim(fx), upoly_trim(gx)
-    if not fx and not gx:
-        return list(ctx.elements())
-    h = upoly_gcd_unchecked(fx, gx, ctx)  # gcd(0, g) is monic g
-    return sorted(rational_roots(h, ctx)) if upoly_deg(h) >= 1 else []
+def _roots(f: UPoly, ctx: FieldCtx) -> Iterable[int]:
+    """Where a trimmed f vanishes, in ascending order: every element,
+    produced lazily, for the zero polynomial, else its rational roots."""
+    if not f:
+        return ctx.elements()
+    return sorted(rational_roots(f, ctx)) if upoly_deg(f) >= 1 else []
 
 
 def resultant_y_general(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly | None:
@@ -280,19 +280,23 @@ def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
     leading Y-coefficients vanish at x: there the first column of the
     Sylvester matrix is zero, so the resultant vanishes at x too.  When
     the resultant vanishes identically (a zero polynomial or a shared
-    factor) every x qualifies.  When both polynomials are constant in Y,
-    x is confined to the roots of f's X-part.
+    factor) every x qualifies, and an x past the first
+    max(1, GRID_LIMIT // q), as many cells as the grid scan may visit,
+    is refused when the scan reaches it.  When both polynomials are
+    constant in Y, x is confined to the roots of f's X-part.  At x, y
+    runs over the roots of gcd(f(x, Y), g(x, Y)), every element where
+    both images vanish.
     """
     ctx = query.ctx
     f, g = query.polys
     fc, gc = f.y_matrix.tolist(), g.y_matrix.tolist()  # [] for a zero polynomial
     res = upoly_trim(fc[0]) if query._resultant is None else query._resultant
-    if not res:
-        xs = ctx.elements()
-    else:
-        xs = sorted(rational_roots(res, ctx)) if upoly_deg(res) >= 1 else []
-    for x in xs:
-        for y in _common_y_roots(y_poly_at(fc, x, ctx), y_poly_at(gc, x, ctx), ctx):
+    cap = max(1, GRID_LIMIT // ctx.q) if not res else None
+    for i, x in enumerate(_roots(res, ctx)):
+        if i == cap:
+            raise CapacityError(f"a vanishing resultant scans x past {cap} of GF({ctx.q}): over 2^24 cells")
+        fx, gx = upoly_trim(y_poly_at(fc, x, ctx)), upoly_trim(y_poly_at(gc, x, ctx))
+        for y in _roots(upoly_gcd_unchecked(fx, gx, ctx) if fx or gx else (), ctx):  # gcd(0, g) is monic g
             yield (x, y)
 
 

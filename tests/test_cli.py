@@ -1,14 +1,19 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import svsearch
 from svsearch.cli import main, parse_strips, system_from_text, system_to_text
 from svsearch.errors import UsageError
 from svsearch.ffield import prime_field
@@ -234,6 +239,17 @@ def test_experiment_nonpositive_workers_usage_error(capsys, tmp_path, workers):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_experiment_refused_for_its_parameters_leaves_no_directory(capsys, tmp_path):
+    # GF(2) has only 2 strips of one coordinate: a DomainError, refused before --out is made
+    code, out, err = run_cli(
+        capsys, "experiment", "--q", "2", "--r", "3", "--s", "2", "--d", "2", "--hstar", "3",
+        "--trials", "1", "--seed", "1", "--out", str(tmp_path / "newdir" / "sub"),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: cannot draw 3 distinct strips from 2\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_unusable_out_is_usage_error_before_any_trial(capsys, tmp_path):
     # a path below a file cannot be made a directory: refused before run_experiment
     (tmp_path / "a_file").write_text("")
@@ -317,6 +333,52 @@ def test_count_points_above_log_tables_is_capacity_within_a_second(capsys, tmp_p
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert err.startswith("capacity:") and len(err.splitlines()) == 1
+
+
+def _mersenne_31_pair(f, g, d=2):
+    """A system file over GF(2^31 - 1) in (x1, X, Y), each polynomial as {(X, Y) exponents: c}."""
+    def terms(poly):
+        return [{"c": c % (2**31 - 1), "e": [0, *e]} for e, c in poly.items()]
+    return {"q": 2**31 - 1, "r": 3, "s": 2, "d": d, "polynomials": [terms(f), terms(g)]}
+
+
+DEGENERATE_RESULTANTS = {
+    # f = X(Y - 1), g = X(Y - 2): R = -X^2, and both images vanish at x = 0, so every y is a candidate
+    "images_vanish": (_mersenne_31_pair({(1, 1): 1, (1, 0): -1}, {(1, 1): 1, (1, 0): -2}), 0),
+    # f = Y^2 + 1, g = X(Y^2 + 1): R = 0, and -1 is a non-residue mod 2^31 - 1, so no x has a y
+    "vanishing_rootless": (_mersenne_31_pair({(0, 2): 1, (0, 0): 1}, {(1, 2): 1, (1, 0): 1}, d=3), 3),
+    # f = Y(X + 1), g = Y(Y + 1): R = 0, and x = 0 already has y = 0
+    "vanishing_witness_at_0": (_mersenne_31_pair({(1, 1): 1, (0, 1): 1}, {(0, 2): 1, (0, 1): 1}), 0),
+}
+
+_LIMITED_MAIN = """
+import resource, sys, time
+from svsearch.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))  # a list of every element is a MemoryError
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(f"{time.perf_counter() - start:.3f}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_RESULTANTS))
+def test_degenerate_resultant_answers_within_a_second(tmp_path, case):
+    # run in a child under a 2 GiB address-space limit and a timeout: an
+    # enumeration of all 2^31 - 1 elements is refused instead of tried
+    doc, want = DEGENERATE_RESULTANTS[case]
+    src = str(Path(svsearch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["solve", "--system", make_system_file(tmp_path, doc), "--backend", "resultant", "--strips", "5"]
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == want, proc.stderr
+    *errors, elapsed = proc.stderr.splitlines()
+    assert float(elapsed) < 1
+    if want == 0:
+        assert errors == [] and json.loads(proc.stdout)["point"] == [0, 0]
+    else:
+        assert proc.stdout == "" and len(errors) == 1 and errors[0].startswith("capacity:")
 
 
 @pytest.mark.parametrize(

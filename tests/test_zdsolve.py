@@ -11,12 +11,12 @@ import pytest
 
 import svsearch
 from svsearch import zdsolve
-from svsearch.errors import CapacityError, UsageError
+from svsearch.errors import CapacityError, DomainError, UsageError
 from svsearch.ffield import LOG_TABLE_LIMIT, field_for_order, prime_field
 from svsearch.mc import records_to_csv, run_experiment
 from svsearch.mpoly import MPoly, monomials, polys_from_slots, rational_roots, resultant_y, slot_array
-from svsearch.sampler import RngStream
-from svsearch.upoly import upoly_mul
+from svsearch.sampler import RngStream, check_strip_budget
+from svsearch.upoly import lagrange_interpolate, upoly_divmod, upoly_mod, upoly_mul, upoly_pow_mod
 from svsearch.zdsolve import (
     ZeroDimQuery,
     _GridEval,
@@ -180,6 +180,34 @@ def test_capacity_errors():
     q3 = ZeroDimQuery(c3, 3, tuple(MPoly.zero(3) for _ in range(3)), 2)
     with pytest.raises(CapacityError):
         count_zeros(q3, "resultant")
+
+
+def _unit_pair(ctx):
+    one = P(2, [((0, 0), 1)], ctx)
+    return ZeroDimQuery(ctx, 2, (one, one), 2)
+
+
+# raises that no other test reaches: (call on GF(5), error type, message fragment)
+REFUSALS = {
+    "query_without_variables": (lambda c: ZeroDimQuery(c, 0, (), 2), UsageError, "at least one variable"),
+    "ext_degree_0": (lambda c: count_zeros_ext(_unit_pair(c), 0), UsageError, "extension degree"),
+    "ext_grid_past_2_24": (lambda c: count_zeros_ext(_unit_pair(c), 6), CapacityError, "2\\^24"),  # 5^12 points
+    "divmod_by_zero": (lambda c: upoly_divmod((1, 1), (), c), DomainError, "zero polynomial"),
+    "mod_by_zero": (lambda c: upoly_mod((1, 1), (), c), DomainError, "zero polynomial"),
+    "pow_mod_constant_modulus": (lambda c: upoly_pow_mod((0, 1), 5, (3,), c), UsageError, "degree >= 1"),
+    "interpolate_mismatched": (lambda c: lagrange_interpolate([0, 1], [1], c), UsageError, "equally many"),
+    "interpolate_repeated": (lambda c: lagrange_interpolate([2, 2], [1, 3], c), UsageError, "distinct"),
+    "resultant_y_trivariate": (
+        lambda c: resultant_y(P(3, [((0, 1, 0), 1)], c), P(3, [((0, 0, 1), 1)], c), c), UsageError, "bivariate"),
+    "strip_budget_without_coordinates": (lambda c: check_strip_budget(1, 0, c), UsageError, "one coordinate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_raise_their_error(case):
+    call, error, fragment = REFUSALS[case]
+    with pytest.raises(error, match=fragment):
+        call(prime_field(5))
 
 
 def test_backend_agreement_random():
@@ -348,22 +376,25 @@ def test_find_zero_digit_arithmetic_above_table_limit(q):
 
 def test_exhaustive_s1_over_a_prime_above_the_log_table_limit():
     # a prime field needs no log tables, so only an extension field above
-    # LOG_TABLE_LIMIT is refused: the s = 1 grid over GF(2^17 - 1) runs,
-    # and its zeros are the roots of f by splitting
-    ctx = prime_field(131071)
-    assert ctx.k == 1 and ctx.q > LOG_TABLE_LIMIT
-    rng = RngStream(41, 1)
-    roots = sorted({rng.next_below(ctx.q) for _ in range(3)})
-    f = (1,)
-    for root in roots:
-        f = upoly_mul(f, (ctx.neg(root), 1), ctx)
-    f = upoly_mul(f, (1, 0, 1), ctx)  # X^2 + 1: no root, as 131071 = 3 mod 4
-    query = ZeroDimQuery(ctx, 1, (P(1, [((e,), c) for e, c in enumerate(f)], ctx),), len(f) - 1)
-    assert sorted(rational_roots(f, ctx)) == roots
-    assert count_zeros(query) == len(roots)
-    assert find_zero(query) == (roots[0],)
-    rootless = ZeroDimQuery(ctx, 1, (P(1, [((0,), 1), ((2,), 1)], ctx),), 2)
-    assert count_zeros(rootless) == 0 and find_zero(rootless) is None
+    # LOG_TABLE_LIMIT is refused: the s = 1 grids over GF(2^16 + 1), the
+    # first prime past it, and GF(2^17 - 1) run, and their zeros are the
+    # roots of f by splitting
+    for q in (LOG_TABLE_LIMIT + 1, 131071):
+        ctx = prime_field(q)
+        assert ctx.k == 1 and ctx.q > LOG_TABLE_LIMIT
+        rng = RngStream(41, 1)
+        roots = sorted({rng.next_below(ctx.q) for _ in range(3)})
+        f = (1,)
+        for root in roots:
+            f = upoly_mul(f, (ctx.neg(root), 1), ctx)
+        x2_minus_3 = (ctx.neg(3), 0, 1)  # no root: 3 is a non-residue mod both primes
+        f = upoly_mul(f, x2_minus_3, ctx)
+        query = ZeroDimQuery(ctx, 1, (P(1, [((e,), c) for e, c in enumerate(f)], ctx),), len(f) - 1)
+        assert sorted(rational_roots(f, ctx)) == roots
+        assert count_zeros(query) == len(roots)
+        assert find_zero(query) == (roots[0],)
+        rootless = ZeroDimQuery(ctx, 1, (P(1, [((e,), c) for e, c in enumerate(x2_minus_3) if c], ctx),), 2)
+        assert count_zeros(rootless) == 0 and find_zero(rootless) is None
 
 
 def test_certificate_examples():
