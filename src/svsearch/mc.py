@@ -141,16 +141,18 @@ def estimate_with_ci(count: int, n: int) -> tuple[float, float, tuple[float, flo
     return phat, se, (max(phat - 3 * se, 0.0), min(phat + 3 * se, 1.0))
 
 
+def _within_three_se(dist: Fraction, se_sq: Fraction) -> bool:
+    """Exact 3-SE test, dist <= 3 SE, as dist^2 <= 9 SE^2."""
+    return dist * dist <= 9 * se_sq
+
+
 def _widened_distance_ok(dist: Fraction, count: int, n: int) -> bool:
     """Exact check: the estimate count/n, at distance dist from its target
     interval, is within 3 SE of it (within 3/n at count 0 or n)."""
-    if dist == 0:
-        return True
     if count in (0, n):
         return dist <= Fraction(3, n)
     phat = Fraction(count, n)
-    se_sq = phat * (1 - phat) / n
-    return dist * dist <= 9 * se_sq
+    return _within_three_se(dist, phat * (1 - phat) / n)
 
 
 def _comparison(name: str, count: int, n: int, interval: BoundInterval) -> dict:
@@ -329,10 +331,7 @@ def _mean_strips_block(values: list[int], q: int, r: int, s: int, d: int) -> dic
         se_sq_mean = var / n
     else:
         se_sq_mean = Fraction(0)
-    if mean <= bound.value:
-        passed = True
-    else:
-        passed = (mean - bound.value) ** 2 <= 9 * se_sq_mean
+    passed = mean <= bound.value or _within_three_se(mean - bound.value, se_sq_mean)
     return {
         "mean": float(mean),
         "mean_fraction": str(mean),

@@ -16,7 +16,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import CapacityError, DomainError, UsageError
-from .ffield import FieldCtx, extension_field
+from .ffield import LOG_TABLE_LIMIT, FieldCtx, extension_field
 from .upoly import (
     X_POLY,
     UPoly,
@@ -37,7 +37,6 @@ from .upoly import (
 
 ExpVec = tuple[int, ...]
 
-LIFT_TABLE_LIMIT = 1 << 16  # largest extension base whose element table lift_with_embedding builds
 SLOT_LIMIT = 1 << 16  # most coefficient slots, C(r + d, r), a system's polynomials may have
 # rational_roots over GF(p) evaluates f at every element while p * (deg f + 1)
 # is at most this; above ~2^15.2 cells splitting is faster at degree 2
@@ -478,21 +477,12 @@ def lift_with_embedding(ctx: FieldCtx, e: int):
     if e == 1 or ctx.k == 1:
         table = {a: a for a in ctx.elements()}
         return (ctx if e == 1 else extension_field(ctx.p, e), table.__getitem__, table)
-    if ctx.q > LIFT_TABLE_LIMIT:
+    if ctx.q > LOG_TABLE_LIMIT:  # one table entry per element, as for log tables
         raise CapacityError("extension base field too large to lift")
     ext = extension_field(ctx.p, ctx.k * e)
     base_mod = upoly_trim(ctx.modulus)  # GF(p) coefficients embed unchanged
     theta = min(rational_roots(base_mod, ext))
-    add, mul = ext.ops.add, ext.ops.mul
-    table: dict[int, int] = {}
-    for a in ctx.elements():
-        v = 0
-        power = 1
-        for c in ctx.coeffs(a):
-            if c:
-                v = add(v, mul(c, power))
-            power = mul(power, theta)
-        table[a] = v
+    table = {a: upoly_eval(ctx.coeffs(a), theta, ext) for a in ctx.elements()}
     unembed = {v: k for k, v in table.items()}
     return (ext, table.__getitem__, unembed)
 

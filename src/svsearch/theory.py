@@ -155,14 +155,10 @@ def _interval_from_endpoints(lo: Fraction, hi: Fraction, tag: str, hyps: dict) -
 
 
 def first_strip_bounds(q: int, s: int, d: int) -> BoundInterval:
-    """Exact two-sided bounds on the chance that one strip already works."""
-    sums = strip_sums(q, s, d)
-    tail_next = strip_sums(q, s, d + 1).tail
+    """Exact two-sided bounds on the chance that one strip already works:
+    the alternating sums truncated at d and at d + 1, which bracket it."""
+    lo, hi = sorted(strip_sums(q, s, m).alt for m in (d, d + 1))
     hyps = {"s<=d+1": s <= d + 1, "q^s>d": q ** s > d}
-    if d % 2 == 1:
-        lo, hi = sums.alt - tail_next, sums.alt
-    else:
-        lo, hi = sums.alt, sums.alt + tail_next
     return _interval_from_endpoints(lo, hi, "first_strip_exact", hyps)
 
 
@@ -170,11 +166,8 @@ def first_strip_series_bounds(q: int, s: int, d: int) -> BoundInterval:
     """Factorial-series form of the first-strip bounds."""
     qs = Fraction(2, q ** s)
     hyps = {"s<=d+1": s <= d + 1, "q^s>d": q ** s > d}
-    if d % 2 == 1:
-        lo, hi = mu(d + 1) - qs, mu(d) + qs
-    else:
-        lo, hi = mu(d) - qs, mu(d + 1) + qs
-    return _interval_from_endpoints(lo, hi, "first_strip_series", hyps)
+    lo, hi = sorted(mu(m) for m in (d, d + 1))
+    return _interval_from_endpoints(lo - qs, hi + qs, "first_strip_series", hyps)
 
 
 def joint_strips_bound(q: int, s: int, d: int, k: int) -> BoundInterval:
@@ -380,12 +373,8 @@ def mat_mul_2x2(x, y):
 def ul_recursion(q: int, s: int, d: int, kmax: int) -> SandwichRecursion:
     if not 1 <= kmax <= UL_CAP:
         raise UsageError(f"kmax must be in [1, {UL_CAP}]")
-    sums_d = strip_sums(q, s, d)
-    sums_d1 = strip_sums(q, s, d + 1)
-    if d % 2 == 1:
-        up, lo = sums_d, sums_d1  # upper row truncates at d, lower at d+1
-    else:
-        up, lo = sums_d1, sums_d
+    odd = _odd_order(d)
+    up, lo = strip_sums(q, s, odd), strip_sums(q, s, 2 * d + 1 - odd)  # lower row: the other of d and d + 1
     uppers = [up.alt]
     lowers = [lo.alt]
     for _ in range(1, kmax):

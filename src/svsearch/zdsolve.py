@@ -11,9 +11,10 @@ extension fields.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -249,12 +250,18 @@ def _zeros_exhaustive(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
 # resultant backend (s = 2)
 
 
-def _roots(f: UPoly, ctx: FieldCtx) -> Iterable[int]:
-    """Where a trimmed f vanishes, in ascending order: every element,
-    produced lazily, for the zero polynomial, else its rational roots."""
-    if not f:
-        return ctx.elements()
-    return sorted(rational_roots(f, ctx)) if upoly_deg(f) >= 1 else []
+def _roots(f: UPoly, ctx: FieldCtx) -> Iterator[int]:
+    """Where a trimmed f vanishes, in ascending order: its rational roots,
+    or every element for the zero polynomial.  That walk is produced
+    lazily and refused past its first max(1, GRID_LIMIT // q) elements,
+    as many cells as the grid scan may visit, when it reaches them."""
+    if f:
+        yield from sorted(rational_roots(f, ctx)) if upoly_deg(f) >= 1 else ()
+        return
+    cap = max(1, GRID_LIMIT // ctx.q)
+    yield from islice(ctx.elements(), cap)
+    if cap < ctx.q:
+        raise CapacityError(f"a vanishing polynomial walks past {cap} of GF({ctx.q}): over 2^24 cells")
 
 
 def resultant_y_general(f: MPoly, g: MPoly, ctx: FieldCtx) -> UPoly | None:
@@ -280,21 +287,16 @@ def _zeros_resultant(query: ZeroDimQuery) -> Iterator[tuple[int, ...]]:
     leading Y-coefficients vanish at x: there the first column of the
     Sylvester matrix is zero, so the resultant vanishes at x too.  When
     the resultant vanishes identically (a zero polynomial or a shared
-    factor) every x qualifies, and an x past the first
-    max(1, GRID_LIMIT // q), as many cells as the grid scan may visit,
-    is refused when the scan reaches it.  When both polynomials are
-    constant in Y, x is confined to the roots of f's X-part.  At x, y
-    runs over the roots of gcd(f(x, Y), g(x, Y)), every element where
-    both images vanish.
+    factor) every x qualifies.  When both polynomials are constant in Y,
+    x is confined to the roots of f's X-part.  At x, y runs over the
+    roots of gcd(f(x, Y), g(x, Y)), every element where both images
+    vanish.  Both walks over every element share `_roots`'s refusal.
     """
     ctx = query.ctx
     f, g = query.polys
     fc, gc = f.y_matrix.tolist(), g.y_matrix.tolist()  # [] for a zero polynomial
     res = upoly_trim(fc[0]) if query._resultant is None else query._resultant
-    cap = max(1, GRID_LIMIT // ctx.q) if not res else None
-    for i, x in enumerate(_roots(res, ctx)):
-        if i == cap:
-            raise CapacityError(f"a vanishing resultant scans x past {cap} of GF({ctx.q}): over 2^24 cells")
+    for x in _roots(res, ctx):
         fx, gx = upoly_trim(y_poly_at(fc, x, ctx)), upoly_trim(y_poly_at(gc, x, ctx))
         for y in _roots(upoly_gcd_unchecked(fx, gx, ctx) if fx or gx else (), ctx):  # gcd(0, g) is monic g
             yield (x, y)

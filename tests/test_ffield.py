@@ -389,3 +389,20 @@ def test_factor_is_complete_to_2_40_and_capped_above():
             factor(n)
     with pytest.raises(CapacityError):
         field_for_order(2 ** 61 - 1)
+
+
+# raises that no other test reaches: (call, error type, message fragment)
+REFUSALS = {
+    "irreducible_over_non_prime": (lambda: find_irreducible(4, 2), UsageError, "not prime"),
+    "extension_degree_0": (lambda: FieldCtx(5, 0), UsageError, "k must be >= 1"),
+    "prime_field_with_modulus": (lambda: FieldCtx(5, 1, (1, 1)), UsageError, "takes no modulus"),
+    "coeffs_of_wrong_length": (lambda: extension_field(5, 2).from_coeffs([1]), UsageError, "does not match"),
+    "negative_exponent": (lambda: prime_field(5).pow(2, -1), UsageError, "negative exponent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_raise_their_error(case):
+    call, error, fragment = REFUSALS[case]
+    with pytest.raises(error, match=fragment):
+        call()

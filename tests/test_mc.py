@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import time
 from fractions import Fraction
@@ -382,6 +384,24 @@ def test_summary_all_passed_at_reference_parameters():
     assert summary["aborted"] == 0
     assert summary["all_passed"] is True
     assert summary["mean_strips"]["passed"] is True
+
+
+# sha256 of json.dumps(summary) without its run time, at seed 2206, recorded
+# while the scorecard's two 3-SE tests each squared their own distance:
+# the small benchmark config, and q101 r4 s2 d6 on the resultant backend
+@pytest.mark.parametrize(
+    "config,options,sha256",
+    [
+        ((31, 5, 2, 3, 300), {}, "410700d8f6947699d92c69f78b7f7fdefe76fde18a92ee4208cf493f64590565"),
+        ((101, 4, 2, 6, 100), {"backend": "resultant", "want_certificates": True},
+         "09817485843a3e6fc312adcd385f7bb9a978dbb73679e5ed375cac5eaa318441"),
+    ],
+    ids=["small", "q101-d6-resultant"],
+)
+def test_summary_bytes_are_pinned(config, options, sha256):
+    _, summary = run_experiment(*config, seed=2206, **options)
+    del summary["total_runtime_s"]
+    assert hashlib.sha256(json.dumps(summary).encode()).hexdigest() == sha256
 
 
 def test_mean_strips_passes_only_within_three_standard_errors():

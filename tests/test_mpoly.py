@@ -998,3 +998,18 @@ def test_resultant_root_criterion_matches_extension_scan():
                     if scan_says:
                         break
                 assert gcd_says == scan_says, (q, x0, f0, g0)
+
+
+# raises that no other test reaches: (call on GF(5), error type, message fragment)
+REFUSALS = {
+    "mpoly_outside_a_block": (lambda c: MPoly(None, 0), TypeError, "row of a slot block"),
+    "mpoly_attribute_set": (lambda c: setattr(MPoly.zero(2), "nvars", 3), AttributeError, "immutable"),
+    "terms_short_exponents": (lambda c: MPoly.from_terms(2, [((1,), 1)], c), UsageError, "bad exponent vector"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_raise_their_error(case):
+    call, error, fragment = REFUSALS[case]
+    with pytest.raises(error, match=fragment):
+        call(prime_field(5))

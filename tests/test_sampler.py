@@ -404,3 +404,25 @@ def test_system_polys_share_one_slot_block():
         assert len({f._slots[0] for f in derived.polys}) == len({f._slots[0] for f in system.polys}) == 1
         strip = (1, 2)
         assert [f.specialize(strip, ctx) for f in derived.polys] == [f.specialize(strip, ctx) for f in terms]
+
+
+# raises that no other test reaches: (call on GF(5), error type, message fragment);
+# each condition_matrix case is one strip of length 1 at d = 2, r = 3
+REFUSALS = {
+    "m_matrix_without_strips": (lambda c: m_matrix([]), UsageError, "at least one strip"),
+    "vandermonde_without_points": (lambda c: vandermonde_a([], 2, c), UsageError, "at least one point"),
+    "vandermonde_two_dimensions": (lambda c: vandermonde_a([(0,), (0, 1)], 2, c), UsageError, "share a dimension"),
+    "condition_set_count": (lambda c: condition_matrix([(0,)], [], 2, 3, c), UsageError, "one point set per strip"),
+    "condition_repeated_point": (
+        lambda c: condition_matrix([(0,)], [[(1, 1), (1, 1)]], 2, 3, c), UsageError, "must be distinct"),
+    "condition_two_dimensions": (
+        lambda c: condition_matrix([(0,)], [[(1, 1), (2,)]], 2, 3, c), UsageError, "share a dimension"),
+    "condition_length_not_r": (lambda c: condition_matrix([(0,)], [[(1, 1)]], 2, 4, c), UsageError, "must equal r"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_raise_their_error(case):
+    call, error, fragment = REFUSALS[case]
+    with pytest.raises(error, match=fragment):
+        call(prime_field(5))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -388,3 +390,34 @@ def test_invertible_tuple_count_h1():
     assert invertible_tuple_count(7, 1, 5, 2) == 7 ** 3
     with pytest.raises(DomainError):
         invertible_tuple_count(2, 4, 4, 2)
+
+
+# sha256 of json.dumps(theory_report(q, r, s, d, hmax)), recorded while each
+# of the first-strip bounds still picked its ends in a branch on the parity of d
+@pytest.mark.parametrize(
+    "params,hmax,sha256",
+    [
+        ((101, 4, 2, 6), None, "b7b0acc7022d9cec42d6e3aa61ce1dd92e73409fc817c5323618f2cc975189b7"),
+        ((31, 5, 2, 3), None, "f330ab61287fa40d9c407e1a98c12f233a59b08ca3a5431572c3ff359a4623df"),
+        ((2, 4, 2, 2), 3, "5fb595238e97f6c2e32eb1c29e215d99c0fd46368e8c707b5204ca920c0c1866"),
+        ((1009, 4, 2, 4), None, "b1023788788ddba9106e8bada2f34d955ce727da8f4dd1c53d4b4e134aa8dfae"),
+    ],
+    ids=["q101-d6", "q31-d3", "q2-d2-h3", "q1009-d4"],
+)
+def test_theory_report_bytes_are_pinned(params, hmax, sha256):
+    report = theory_report(*params, hmax=hmax)
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == sha256
+
+
+# raises that no other test reaches: (call, error type, message fragment)
+REFUSALS = {
+    "strip_sums_m_0": (lambda: strip_sums(2, 2, 0), UsageError, "m >= 1"),
+    "invertible_tuples_h_0": (lambda: invertible_tuple_count(2, 0, 4, 2), UsageError, "h >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_raise_their_error(case):
+    call, error, fragment = REFUSALS[case]
+    with pytest.raises(error, match=fragment):
+        call()

@@ -182,6 +182,43 @@ def test_capacity_errors():
         count_zeros(q3, "resultant")
 
 
+def test_count_where_both_images_vanish_is_capacity_within_a_second():
+    # f = X(Y - 1), g = X(Y - 2) over GF(2^31 - 1): both images vanish at
+    # x = 0, so every y is a zero there.  The walk over y is refused past
+    # the first max(1, 2^24 // q) elements, as a walk over x is; run in a
+    # child under a 2 GiB address-space limit and a timeout
+    code = textwrap.dedent(
+        """
+        import resource, sys, time
+        from svsearch.errors import CapacityError
+        from svsearch.ffield import prime_field
+        from svsearch.mpoly import MPoly
+        from svsearch.zdsolve import ZeroDimQuery, count_zeros, find_zero
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        p = 2**31 - 1
+        c = prime_field(p)
+        f = MPoly.from_terms(2, [((1, 1), 1), ((1, 0), p - 1)], c)
+        g = MPoly.from_terms(2, [((1, 1), 1), ((1, 0), p - 2)], c)
+        query = ZeroDimQuery(c, 2, (f, g), 2)
+        print(find_zero(query, "resultant"))
+        start = time.perf_counter()
+        try:
+            count_zeros(query, "resultant")
+        except CapacityError as err:
+            print(f"{time.perf_counter() - start:.3f}", err)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = str(Path(svsearch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    point, refusal = proc.stdout.splitlines()
+    elapsed, message = refusal.split(" ", 1)
+    assert point == "(0, 0)" and float(elapsed) < 1 and "2^24" in message
+
+
 def _unit_pair(ctx):
     one = P(2, [((0, 0), 1)], ctx)
     return ZeroDimQuery(ctx, 2, (one, one), 2)
@@ -192,6 +229,8 @@ REFUSALS = {
     "query_without_variables": (lambda c: ZeroDimQuery(c, 0, (), 2), UsageError, "at least one variable"),
     "ext_degree_0": (lambda c: count_zeros_ext(_unit_pair(c), 0), UsageError, "extension degree"),
     "ext_grid_past_2_24": (lambda c: count_zeros_ext(_unit_pair(c), 6), CapacityError, "2\\^24"),  # 5^12 points
+    "closure_count_past_degree_8": (  # dmax^s = 9
+        lambda c: distinct_geometric_points(ZeroDimQuery(c, 2, _unit_pair(c).polys, 3)), CapacityError, "<= 8"),
     "divmod_by_zero": (lambda c: upoly_divmod((1, 1), (), c), DomainError, "zero polynomial"),
     "mod_by_zero": (lambda c: upoly_mod((1, 1), (), c), DomainError, "zero polynomial"),
     "pow_mod_constant_modulus": (lambda c: upoly_pow_mod((0, 1), 5, (3,), c), UsageError, "degree >= 1"),
