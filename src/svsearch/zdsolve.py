@@ -1,12 +1,12 @@
 """Zero-dimensional solving over a finite field.
 
 Two backends find/count common rational zeros of s polynomials in s
-variables: an exhaustive grid scan (vectorized, in the log domain over
-extension fields) and, for s = 2, an elimination backend that projects
-through the resultant and lifts candidate first coordinates.  On top of
-these sit the sufficient certificate for "the specialized system is as
-transverse as its degrees allow" and exact point-counting oracles over
-extension fields.
+variables: an exhaustive grid scan (vectorized; by product tables or in
+the log domain over extension fields) and, for s = 2, an elimination
+backend that projects through the resultant and lifts candidate first
+coordinates.  On top of these sit the sufficient certificate for "the
+specialized system is as transverse as its degrees allow" and exact
+point-counting oracles over extension fields.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, UsageError
 from .ffield import LOG_TABLE_LIMIT, FieldCtx, factor
@@ -25,6 +26,7 @@ from .mpoly import (MPoly, _power_table, cell_array, check_polys, lift_with_embe
 from .upoly import UPoly, is_squarefree, upoly_deg, upoly_gcd_unchecked, upoly_trim
 
 GRID_LIMIT = 1 << 24
+PRODUCT_TABLE_BYTES = 1 << 21  # GF(2^k) grids scan by product tables up to this size
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class _GridEval:
     prefix^h at every prefix (q^(s-1) x H).  Every line_h at every x
     (H x q) comes from `slot_lines`, for all polynomials at once: their
     cell arrays times `tab`, row t for x^(maxdeg - t).  A slab is `rows`
-    whole lines, about 2^17 cells over GF(p) and 2^14 in the log domain.
+    whole lines, about 2^17 cells over GF(p) and 2^14 over GF(p^k).
 
     Over GF(p) both are balanced residues, at most b = p // 2 in size, in
     the float type `_exact_float` picks, with m significand bits; T is
@@ -110,11 +112,23 @@ class _GridEval:
     the product by 2^(w-1) is 0 exactly for even patterns.  Over GF(p^k) heads and
     lines are logs, with `zero_log` standing for log 0, and a value adds
     up the groups exp[head + line].
+
+    Over GF(2^k), while its maxdeg + 1 product tables take at most
+    PRODUCT_TABLE_BYTES, a value is grouped by the power of x instead:
+    f = sum over t of c_t(prefix) * x^(maxdeg - t), where c_t(prefix) is
+    the sum over heads h of cells[h, t] * prefix^h.  `products` stacks
+    the tables M_t[v, x] = v * x^(maxdeg - t), row t*q + v (one byte an
+    element up to q = 256, two above), built once per evaluator.
+    `slot_lines` gives, at every prefix, the row t*q + c_t(prefix) of
+    each t, so a slab is the XOR of maxdeg + 1 row gathers, each row
+    copied as whole words of `words`, and an `at` value the XOR of as
+    many table entries.
     """
 
     def __init__(self, ctx: FieldCtx, s: int, maxdeg: int) -> None:
         q = self.q = ctx.q
         self.p, self.prime, self.s, self.maxdeg = ctx.p, ctx.k == 1, s, maxdeg
+        self.products = None
         heads = monomials(s - 1, maxdeg)
         self.rows = max(1, min(q ** (s - 1), (1 << (17 if self.prime else 14)) // q))
         if self.prime:
@@ -143,6 +157,16 @@ class _GridEval:
             self.log[0] = zero
             self.tab = np.outer(np.arange(maxdeg, -1, -1), self.log) % order  # log of x^(maxdeg - t)
             self.tab[:-1, 0] = zero
+            elem = np.dtype(np.uint8 if q <= 256 else np.uint16)
+            if ctx.p == 2 and (maxdeg + 1) * q * q * elem.itemsize <= PRODUCT_TABLE_BYTES:
+                # exp as the Hankel matrix [g^(a + b)], read at (log v, log x^(maxdeg - t)),
+                # so that no q^2 sums of logs are built
+                hankel = sliding_window_view(self.exp.astype(elem), zero + 1)
+                self.products = hankel[self.log[:, None], self.tab[:, None, :]].reshape(-1, q)
+                self.products.flags.writeable = False  # shared by every stream of the cached evaluator
+                # a row is q * itemsize >= 4 bytes, a power of 2: it copies as whole words
+                self.words = self.products.view(f"u{min(8, q * elem.itemsize)}")
+                self._row_base = np.arange(0, (maxdeg + 1) * q, q)[:, None]  # M_t starts at row t*q
             if ctx.p != 2:
                 # zech[n] = log(1 + g^n) for every n in [0, 2*zero], so that
                 # zech[lb - la + zero] needs no reduction mod q - 1
@@ -171,13 +195,20 @@ class _GridEval:
         """line_h(x) of every polynomial in slots (one row each by slot of
         `monomials(s, maxdeg)`) for every head h and every x, as an
         n x H x q array: balanced residues, beta added to head 1's line,
-        over GF(p), logs over GF(p^k)."""
+        over GF(p), logs over GF(p^k).  On the table path, the row of
+        `products` for each c_t at every prefix instead: n x T x q^(s-1),
+        T = maxdeg + 1."""
         cmat = cell_array(slots, self.s, self.maxdeg)
         if self.prime:
             lines = cmat @ self.tab + self.half
             lines %= self.p
             lines += self._shift
             return lines.astype(self.dtype)
+        if self.products is not None:
+            # the sum over the heads h of cells[h, t] * prefix^h, with the h axis first
+            logs = self.log[cmat].transpose(1, 0, 2)[..., None]
+            head = self.head.T[:, None, None, :]
+            return self._log_sum(self.exp[logs[-1] + head[-1]], logs[:-1], head[:-1]) + self._row_base
         # the sum over the tail slots t of c * x^(maxdeg - t), with the t axis first
         logs = self.log[cmat].transpose(2, 0, 1)[..., None]
         tab = self.tab[:, None, None, :]
@@ -194,6 +225,9 @@ class _GridEval:
         if self.prime:
             out = self._vals[: (hi - lo) * self.q].reshape(hi - lo, self.q)
             return np.matmul(self.head[lo:hi], lines, out=out)
+        if self.products is not None:
+            rows = np.take(self.words, lines[:, lo:hi], axis=0)
+            return np.bitwise_xor.reduce(rows, axis=0).view(self.products.dtype)
         # head 1 has log 0, so its group is the line itself
         first = np.tile(self.exp[lines[-1]], (hi - lo, 1))
         return self._log_sum(first, self.head[lo:hi, :-1].T[:, :, None], lines[:-1, None, :])
@@ -201,6 +235,8 @@ class _GridEval:
     def at(self, lines: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Values at the given flat cell indices."""
         prefix, x = np.divmod(cells, self.q)
+        if self.products is not None:
+            return np.bitwise_xor.reduce(self.products[lines[:, prefix], x], axis=0)
         heads, lines = self.head[prefix].T, lines[:, x]
         if self.prime:
             return (heads * lines).sum(axis=0)

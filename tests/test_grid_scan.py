@@ -2,8 +2,8 @@
 in the same order, and the limits it keeps: exact sums in the narrowest
 float type over GF(p), a division-free zero test, evaluator buffers that
 streams share without leaking, and memory that does not grow with the
-grid.  Pinned `trials.csv` hashes cover the float32, float64 and
-log-domain paths."""
+grid.  Pinned `trials.csv` hashes cover the float32, float64,
+product-table and log-domain paths."""
 
 import functools
 import hashlib
@@ -33,7 +33,7 @@ from svsearch.zdsolve import (
     find_zero,
 )
 
-FIELDS = {q: field_for_order(q) for q in (2, 3, 5, 7, 31, 4, 8, 9, 25)}
+FIELDS = {q: field_for_order(q) for q in (2, 3, 5, 7, 31, 4, 8, 16, 9, 25)}
 
 
 def brute_zeros(query):
@@ -271,6 +271,25 @@ def test_streams_sharing_an_evaluator_do_not_leak():
     assert zdsolve._grid_eval.cache_info().misses == 1  # one evaluator served every stream
 
 
+def slab_path(grid):
+    """The float type of a GF(p) evaluator's slabs, else "table" or "log"."""
+    if grid.prime:
+        return grid.dtype
+    return "log" if grid.products is None else "table"
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 256])
+def test_product_tables_match_field_multiplication(q):
+    ctx = field_for_order(q)
+    d = 3
+    grid = _GridEval(ctx, 2, d)
+    assert grid.products.dtype == np.uint8 and grid.products.shape == ((d + 1) * q, q)
+    assert grid.words.itemsize == min(q, 8)  # GF(4)'s 4-byte rows copy as one uint32
+    assert (grid.words.view(np.uint8) == grid.products).all()
+    expected = [[ctx.mul(v, ctx.pow(x, d - t)) for x in range(q)] for t in range(d + 1) for v in range(q)]
+    assert grid.products.tolist() == expected
+
+
 # one exhaustive config per grid path, (q, r, s, d, trials, seed), with the
 # sha256 of its trials.csv as the float64-only slabs wrote it
 @pytest.mark.parametrize(
@@ -278,20 +297,25 @@ def test_streams_sharing_an_evaluator_do_not_leak():
     [
         (np.float32, (1009, 4, 2, 3, 20, 2206), "8f140a57720de420ae8bd6e33de70316f61b3a0ff8c015854dcc4f907e779ad5"),
         (np.float64, (4093, 3, 2, 3, 5, 2206), "98e68ca3237b42646263953bc7b83b8abc00a1f6160e8d740282c2294734a028"),
-        (None, (256, 5, 2, 3, 20, 2206), "2366e60e5f5dc51764a4fd36ec14c21c813f9d8e17ff12cb717b1a15e30c1012"),
+        # pinned while GF(256) took the log domain
+        ("table", (256, 5, 2, 3, 20, 2206), "2366e60e5f5dc51764a4fd36ec14c21c813f9d8e17ff12cb717b1a15e30c1012"),
         # recorded before the trial path moved to one slot array per system
         (np.float32, (31, 5, 2, 3, 50, 2206), "7a812fc3225bc726aaefe56581e48e7a03b13e3b2893418ff4e5dc94cf46bc0c"),
         (np.float32, (67, 4, 3, 2, 10, 2206), "31d62a62cf3f06361375779fb3ad489ed0703b8864a4a193f4d6a10659ea20c5"),
         # float32 only with balanced residues: biased sums of products up to (p - 1)^2 would need float64
         (np.float32, (1451, 4, 2, 3, 20, 2206), "178f4f698ac621793991de2e17b7b1b56cc65c24bb0a96b2dc14916a3ba47cbd"),
         (np.float32, (2039, 4, 2, 3, 20, 2206), "6dccc20130a4b48498612044a84f4e9efe007ef8eb31828b1b6f423728f436ca"),
+        # the log domain: GF(2^10) above the product-table cap, and odd p;
+        # recorded before GF(2^k) grids took product tables
+        ("log", (1024, 3, 2, 2, 8, 2206), "a6713afcea120ed2ff95e612796affef80e519ffe47bf1e622d7ec4676b5638a"),
+        ("log", (243, 4, 2, 2, 20, 2206), "ba316f797ba24659849e75ccafecd71c222129efd302087ceb0950c9e1dc8afb"),
     ],
-    ids=["float32", "float64", "log", "small", "s3", "q1451", "q2039"],
+    ids=["float32", "float64", "log", "small", "s3", "q1451", "q2039", "q1024", "q243"],
 )
 def test_trials_csv_bytes_are_pinned(path, config, sha256):
     q, r, s, d, trials, seed = config
     ctx = field_for_order(q)
-    assert getattr(_GridEval(ctx, s, d), "dtype", None) is path
+    assert slab_path(_GridEval(ctx, s, d)) == path
     records, _ = run_experiment(q, r, s, d, trials, seed=seed)
     assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == sha256
 

@@ -95,13 +95,16 @@ def test_zero_polynomial_imposes_nothing():
     assert find_zero(both_zero, "resultant") == (0, 0)
 
 
-@pytest.mark.parametrize("q", [9, 27, 64, 1024, 2187])  # 2187 = 3^7: odd p, 4.8M grid cells
+# 64 and 512 scan by product tables (512 at d = 3 fills the 2 MiB cap), 1024
+# and the odd-p fields in the log domain; 2187 = 3^7: 4.8M grid cells
+@pytest.mark.parametrize("q", [9, 27, 64, 512, 1024, 2187])
 def test_log_grid_matches_evaluate_and_resultant(q):
     ctx = field_for_order(q)
     rng = RngStream(4242, q)
     for d in (1, 2, 3, 3):
         query = random_query(ctx, 2, d, rng)
         grid = _GridEval(ctx, 2, d)
+        assert (grid.products is not None) == (q in (64, 512))
         for f, lines in zip(query.polys, grid.slot_lines(slot_array(query.polys, d))):
             cells = [(0, 0), (0, q - 1), (q - 1, 0)]
             cells += [(rng.next_below(q), rng.next_below(q)) for _ in range(60)]
